@@ -335,4 +335,16 @@ std::vector<FaultEvent> ScopedPlan::events() const {
   return out;
 }
 
+ThreadPlan thread_plan() { return ThreadPlan{tls_plan, tls_recorder}; }
+
+ScopedThreadPlan::ScopedThreadPlan(ThreadPlan p) : saved_(thread_plan()) {
+  tls_plan = p.plan;
+  tls_recorder = p.recorder;
+}
+
+ScopedThreadPlan::~ScopedThreadPlan() {
+  tls_plan = saved_.plan;
+  tls_recorder = saved_.recorder;
+}
+
 }  // namespace crp::chaos

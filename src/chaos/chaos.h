@@ -207,10 +207,8 @@ void clear_injected_events();
 /// TaskCtx to a blank context (so stream salts are reproducible no matter
 /// what ran before), and gives the scope a private event recorder. Used by
 /// tests and by chaosrun cells running different seeds concurrently.
-///
-/// Everything exercised under the scope must run on this thread (inner
-/// campaigns/pools with jobs=1): a worker thread spawned elsewhere does not
-/// see the override.
+/// exec::ThreadPool carries the override (and recorder) into its workers
+/// for the tasks of batches issued under the scope.
 class ScopedPlan {
  public:
   explicit ScopedPlan(FaultPlan p);
@@ -228,6 +226,28 @@ class ScopedPlan {
   const FaultPlan* saved_plan_;
   std::vector<FaultEvent>* saved_recorder_;
   std::vector<FaultEvent> recorded_;
+};
+
+/// The calling thread's ScopedPlan override and event recorder (both null
+/// outside any ScopedPlan).
+struct ThreadPlan {
+  const FaultPlan* plan = nullptr;
+  std::vector<FaultEvent>* recorder = nullptr;
+};
+ThreadPlan thread_plan();
+
+/// RAII: adopt another thread's ThreadPlan on this thread. exec::ThreadPool
+/// scopes one per task with the batch issuer's, so pool workers inject and
+/// record exactly as the issuing thread would.
+class ScopedThreadPlan {
+ public:
+  explicit ScopedThreadPlan(ThreadPlan p);
+  ~ScopedThreadPlan();
+  ScopedThreadPlan(const ScopedThreadPlan&) = delete;
+  ScopedThreadPlan& operator=(const ScopedThreadPlan&) = delete;
+
+ private:
+  ThreadPlan saved_;
 };
 
 }  // namespace crp::chaos

@@ -6,7 +6,6 @@
 
 #include "chaos/chaos.h"
 #include "obs/journal.h"
-#include "obs/ledger.h"
 #include "obs/obs.h"
 #include "util/rng.h"
 
@@ -78,6 +77,8 @@ void ThreadPool::drain(const std::function<void(u64)>& fn, u64 n, const char* la
       // Tasks inherit the batch issuer's profiler context (stage/target).
       obs::ScopedProfContext prof_scope(prof_batch_ctx_);
       if (chaos_on_) {
+        // The issuer's ScopedPlan (thread-local) reaches every worker.
+        chaos::ScopedThreadPlan plan_scope(chaos_thread_plan_);
         chaos::TaskScope scope(task_seed(chaos_batch_salt_, task));
         fn(task);
       } else {
@@ -97,9 +98,6 @@ void ThreadPool::drain(const std::function<void(u64)>& fn, u64 n, const char* la
 }
 
 void ThreadPool::worker_loop() {
-  // Pre-create this worker's flight-recorder ring so its first probe event
-  // (tasks routinely probe through oracles) stays lock-free.
-  obs::Ledger::global().register_current_thread();
   u64 seen_gen = 0;
   for (;;) {
     u64 wait_t0 = wall_ns();
@@ -152,6 +150,7 @@ void ThreadPool::for_each_index(u64 n, const std::function<void(u64)>& fn,
     chaos_on_ = chaos_on;
     chaos_batch_salt_ = batch_salt;
     chaos_order_ = std::move(order);
+    chaos_thread_plan_ = chaos::thread_plan();
     prof_batch_ctx_ = obs::Profiler::context();
     fn_ = &fn;
     label_ = label;

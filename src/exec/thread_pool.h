@@ -30,6 +30,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "chaos/chaos.h"
 #include "obs/prof.h"
 #include "util/common.h"
 
@@ -86,6 +87,9 @@ class ThreadPool {
   // chaos_on_ stays false and drain pays a single branch per task.
   bool chaos_on_ = false;
   u64 chaos_batch_salt_ = 0;
+  // The issuer's thread-local plan override and event recorder, installed
+  // around every task so a ScopedPlan covers work on pool workers too.
+  chaos::ThreadPlan chaos_thread_plan_{};
   // Profiler context of the batch issuer, re-entered around every task so
   // samples taken inside worker threads inherit the issuing stage/target
   // (VerifyStage's machines must not sample as context-less).

@@ -28,18 +28,6 @@ const char* prom_kind(MetricKind k) {
   return "untyped";
 }
 
-std::string jesc(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20)
-      out += strf("\\u%04x", static_cast<unsigned>(static_cast<unsigned char>(c)));
-    else
-      out.push_back(c);
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string prometheus_text(const Snapshot& snap, const std::string& prefix) {
@@ -81,7 +69,7 @@ std::string json(const Snapshot& snap) {
   for (const auto& [name, v] : snap.values) {
     if (!first) out += ",";
     first = false;
-    out += "\n  \"" + jesc(name) + "\": ";
+    out += "\n  \"" + json_escape(name) + "\": ";
     switch (v.kind) {
       case MetricKind::kCounter:
       case MetricKind::kGauge:

@@ -16,12 +16,12 @@ void set_journal_thread_lane(u32 lane) { t_journal_lane = lane; }
 
 void Journal::span(const std::string& name, const std::string& cat, u64 ts_us, u64 dur_us,
                    u32 tid, const std::string& arg_name, i64 arg) {
-  emit({name, cat, 'X', ts_us, dur_us, tid, arg_name, arg});
+  emit({name, cat, 'X', /*arg_unsigned=*/false, ts_us, dur_us, tid, arg_name, arg});
 }
 
 void Journal::instant(const std::string& name, const std::string& cat, u64 ts_us, u32 tid,
                       const std::string& arg_name, i64 arg) {
-  emit({name, cat, 'i', ts_us, 0, tid, arg_name, arg});
+  emit({name, cat, 'i', /*arg_unsigned=*/false, ts_us, 0, tid, arg_name, arg});
 }
 
 void Journal::emit(TraceEvent ev) {
@@ -56,44 +56,30 @@ std::vector<TraceEvent> Journal::events() const {
   return std::vector<TraceEvent>(ring_.begin(), ring_.end());
 }
 
-namespace {
-std::string escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-}  // namespace
-
-std::string Journal::chrome_trace_json() const {
-  std::vector<TraceEvent> events;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    events.assign(ring_.begin(), ring_.end());
-  }
+std::string write_chrome_trace(std::vector<TraceEvent> events) {
   std::stable_sort(events.begin(), events.end(),
                    [](const TraceEvent& a, const TraceEvent& b) { return a.ts_us < b.ts_us; });
   std::string out = "[";
-  bool first = true;
-  for (const TraceEvent& e : events) {
-    if (!first) out += ",";
-    first = false;
-    out += strf("\n{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%c\",\"ts\":%llu,\"pid\":1,"
-                "\"tid\":%u",
-                escape(e.name).c_str(), escape(e.cat).c_str(), e.phase,
-                static_cast<unsigned long long>(e.ts_us), e.tid);
-    if (e.phase == 'X') out += strf(",\"dur\":%llu", static_cast<unsigned long long>(e.dur_us));
-    if (e.phase == 'i') out += ",\"s\":\"g\"";
+  for (size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& e = events[i];
+    out += i == 0 ? "\n" : ",\n";
+    out += strf("{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"%c\", \"ts\": %llu",
+                json_escape(e.name).c_str(), json_escape(e.cat).c_str(), e.phase,
+                static_cast<unsigned long long>(e.ts_us));
+    if (e.phase == 'X') out += strf(", \"dur\": %llu", static_cast<unsigned long long>(e.dur_us));
+    out += strf(", \"pid\": 1, \"tid\": %llu", static_cast<unsigned long long>(e.tid));
+    if (e.phase == 'i') out += ", \"s\": \"g\"";
     if (!e.arg_name.empty())
-      out += strf(",\"args\":{\"%s\":%lld}", escape(e.arg_name).c_str(),
-                  static_cast<long long>(e.arg));
+      out += ", \"args\": {\"" + json_escape(e.arg_name) + "\": " +
+             (e.arg_unsigned ? std::to_string(static_cast<u64>(e.arg)) : std::to_string(e.arg)) +
+             "}";
     out += "}";
   }
   out += "\n]";
   return out;
 }
+
+std::string Journal::chrome_trace_json() const { return write_chrome_trace(events()); }
 
 Journal& Journal::global() {
   static Journal* g = new Journal();

@@ -55,12 +55,18 @@ struct TraceEvent {
   std::string name;
   std::string cat;
   char phase = 'X';  // 'X' complete, 'i' instant, 'C' counter
+  bool arg_unsigned = false;  // render arg as u64 (hash-valued args)
   u64 ts_us = 0;
   u64 dur_us = 0;     // 'X' only
-  u32 tid = 0;
+  u64 tid = 0;
   std::string arg_name;  // optional single numeric arg
   i64 arg = 0;
 };
+
+/// Chrome trace_event "JSON Array Format" of `events`, stably sorted by
+/// ts_us, names escaped. The one writer behind Journal::chrome_trace_json
+/// and JobTracer::chrome_trace_json.
+std::string write_chrome_trace(std::vector<TraceEvent> events);
 
 class Journal {
  public:

@@ -54,72 +54,19 @@ bool ledger_stage_from_name(std::string_view s, LedgerStage* out) {
   return false;
 }
 
-// --- Ring --------------------------------------------------------------------
-
-/// SPSC ring: the owning thread is the only producer (record), a drainer
-/// holding the ledger mutex is the only consumer (snapshot). head is the
-/// next write slot, tail the next read slot; head-tail is the fill level.
-struct Ledger::Ring {
-  explicit Ring(size_t cap) : buf(cap) {}
-
-  std::vector<ProbeEvent> buf;
-  std::atomic<u64> head{0};
-  std::atomic<u64> tail{0};
-  std::atomic<u64> dropped{0};
-  u32 seq = 0;  // producer-only emission sequence
-};
+// --- Ledger ------------------------------------------------------------------
 
 namespace {
-
-/// Thread-local ring cache. Keyed by a per-ledger unique id, never by
-/// address, so a test ledger destroyed and another allocated at the same
-/// address cannot alias a stale entry.
-struct TlsRingRef {
-  u64 ledger_id;
-  Ledger::Ring* ring;
-};
-thread_local std::vector<TlsRingRef> t_rings;
-
-std::atomic<u64> g_next_ledger_id{1};
-
+constexpr size_t kArchiveCap = 1 << 20;  // 32 MiB of records, then drop+count
 }  // namespace
 
 Ledger::Ledger(size_t ring_capacity)
-    : ring_capacity_(std::max<size_t>(ring_capacity, 8)),
-      id_(g_next_ledger_id.fetch_add(1, std::memory_order_relaxed)) {
-  names_.push_back("-");  // id 0: unknown
-}
-
-Ledger::~Ledger() = default;
-
-Ledger::Ring& Ledger::ring_for_thread() {
-  for (const TlsRingRef& r : t_rings)
-    if (r.ledger_id == id_) return *r.ring;
-  std::lock_guard<std::mutex> lock(mu_);
-  rings_.push_back(std::make_unique<Ring>(ring_capacity_));
-  Ring* ring = rings_.back().get();
-  t_rings.push_back({id_, ring});
-  return *ring;
-}
-
-u32 Ledger::intern(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; i < names_.size(); ++i)
-    if (names_[i] == name) return static_cast<u32>(i);
-  if (names_.size() >= kMaxNames) return 0;  // table full: fold into "-"
-  names_.push_back(name);
-  return static_cast<u32>(names_.size() - 1);
-}
-
-std::string Ledger::name_of(u32 id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return id < names_.size() ? names_[id] : std::string("-");
-}
-
-std::vector<std::string> Ledger::names() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return names_;
-}
+    : events_(mu_, ring_capacity, [this](const ProbeEvent& e) {
+        if (archive_.size() < kArchiveCap)
+          archive_.push_back(e);
+        else
+          ++archive_dropped_;
+      }) {}
 
 void Ledger::record(LedgerStage stage, ProbeOutcome outcome, u32 primitive, u32 target,
                     u64 addr, u64 ts_ns) {
@@ -129,7 +76,6 @@ void Ledger::record(LedgerStage stage, ProbeOutcome outcome, u32 primitive, u32 
   u32 oc = static_cast<u32>(outcome) < kNumProbeOutcomes ? static_cast<u32>(outcome) : 0;
   u32 st = static_cast<u32>(stage) < kNumLedgerStages ? static_cast<u32>(stage) : 0;
 
-  Ring& r = ring_for_thread();
   ProbeEvent ev;
   ev.ts_ns = ts_ns;
   ev.addr = addr;
@@ -137,37 +83,15 @@ void Ledger::record(LedgerStage stage, ProbeOutcome outcome, u32 primitive, u32 
   ev.target = target;
   ev.outcome = static_cast<u8>(oc);
   ev.stage = static_cast<u8>(st);
-  ev.seq = r.seq++;
-
-  u64 head = r.head.load(std::memory_order_relaxed);
-  u64 tail = r.tail.load(std::memory_order_acquire);
-  if (head - tail >= r.buf.size()) {
-    // Full: drop the newest (overwriting the oldest would race the drainer).
-    r.dropped.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    r.buf[static_cast<size_t>(head % r.buf.size())] = ev;
-    r.head.store(head + 1, std::memory_order_release);
-  }
+  events_.push(ev, [](ProbeEvent& e, u64 n) { e.seq = static_cast<u32>(n); });
   // Tallies are exact even when the ring drops: the audit substrate.
   prim_tallies_[primitive][st][oc].fetch_add(1, std::memory_order_relaxed);
   stage_tallies_[st][oc].fetch_add(1, std::memory_order_relaxed);
 }
 
 std::vector<ProbeEvent> Ledger::snapshot() {
-  constexpr size_t kArchiveCap = 1 << 20;  // 32 MiB of records, then drop+count
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& rp : rings_) {
-    Ring& r = *rp;
-    u64 head = r.head.load(std::memory_order_acquire);
-    u64 tail = r.tail.load(std::memory_order_relaxed);
-    for (; tail != head; ++tail) {
-      if (archive_.size() < kArchiveCap)
-        archive_.push_back(r.buf[static_cast<size_t>(tail % r.buf.size())]);
-      else
-        ++archive_dropped_;
-    }
-    r.tail.store(tail, std::memory_order_release);
-  }
+  events_.drain_locked();
   std::vector<ProbeEvent> out = archive_;
   std::sort(out.begin(), out.end(), [](const ProbeEvent& a, const ProbeEvent& b) {
     return std::tie(a.ts_ns, a.stage, a.primitive, a.target, a.addr, a.outcome, a.seq) <
@@ -178,9 +102,12 @@ std::vector<ProbeEvent> Ledger::snapshot() {
 
 u64 Ledger::dropped() const {
   std::lock_guard<std::mutex> lock(mu_);
-  u64 d = archive_dropped_;
-  for (const auto& rp : rings_) d += rp->dropped.load(std::memory_order_relaxed);
-  return d;
+  return archive_dropped_ + events_.dropped_locked();
+}
+
+size_t Ledger::live_rings() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return events_.live_rings_locked();
 }
 
 u64 Ledger::total(u32 primitive, ProbeOutcome o) const {
@@ -212,14 +139,10 @@ u64 Ledger::total_events() const {
 
 void Ledger::clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& rp : rings_) {
-    Ring& r = *rp;
-    r.tail.store(r.head.load(std::memory_order_acquire), std::memory_order_release);
-    r.dropped.store(0, std::memory_order_relaxed);
-  }
+  events_.clear_locked();
   archive_.clear();
   archive_dropped_ = 0;
-  names_.assign(1, "-");
+  names_.clear();
   for (auto& row : prim_tallies_)
     for (auto& st : row)
       for (auto& v : st) v.store(0, std::memory_order_relaxed);
@@ -287,19 +210,6 @@ bool Ledger::decode_binary(const std::string& doc, std::vector<ProbeEvent>* evs,
 // --- JSONL codec -------------------------------------------------------------
 
 namespace {
-std::string jstr_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) {
-      out += strf("\\u%04x", static_cast<unsigned>(static_cast<unsigned char>(c)));
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 /// Extract the value after `"key":` on one JSONL line. Quoted values return
 /// the (unescaped) string body; bare values return the raw token.
 bool jfield(const std::string& line, const char* key, std::string* out) {
@@ -332,7 +242,7 @@ std::string Ledger::encode_jsonl(const std::vector<ProbeEvent>& evs) const {
         "{\"ts_ns\":%llu,\"addr\":\"0x%llx\",\"primitive\":\"%s\",\"target\":\"%s\","
         "\"stage\":\"%s\",\"outcome\":\"%s\",\"seq\":%u}\n",
         static_cast<unsigned long long>(e.ts_ns), static_cast<unsigned long long>(e.addr),
-        jstr_escape(name_of(e.primitive)).c_str(), jstr_escape(name_of(e.target)).c_str(),
+        json_escape(name_of(e.primitive)).c_str(), json_escape(name_of(e.target)).c_str(),
         ledger_stage_name(static_cast<LedgerStage>(e.stage)),
         probe_outcome_name(static_cast<ProbeOutcome>(e.outcome)), e.seq);
   }

@@ -11,11 +11,12 @@
 // an archive that can be audited, serialized (binary + JSONL, CRP_LEDGER=
 // path), and cross-checked against the oracle.scan.* registry counters.
 //
-// Hot path cost: one thread-local lookup, one SPSC ring store, two relaxed
-// fetch_adds (per-primitive and per-stage tallies). No locks, no
-// allocation. Ring overflow drops the *newest* event and counts the loss in
-// dropped(); the tallies are exact regardless, so the zero-crash audit and
-// the counter cross-check never degrade with ring pressure.
+// Hot path cost: one thread-local lookup, one SPSC ring store (the shared
+// EventRing of obs/ring.h), two relaxed fetch_adds (per-primitive and
+// per-stage tallies). No locks, no allocation after a thread's first event.
+// Ring overflow drops the *newest* event and counts the loss in dropped();
+// the tallies are exact regardless, so the zero-crash audit and the counter
+// cross-check never degrade with ring pressure.
 //
 // Compiled out (-DCRP_OBS_DISABLED) or runtime-disabled recording turns
 // record() into a no-op, like every other obs mutation.
@@ -23,12 +24,12 @@
 
 #include <array>
 #include <atomic>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "obs/ring.h"
 #include "util/common.h"
 
 namespace crp::obs {
@@ -86,31 +87,26 @@ class Ledger {
   static constexpr u32 kMaxNames = 256;
   static constexpr size_t kDefaultRingCapacity = 1 << 14;
 
-  /// Opaque per-thread ring (definition in ledger.cc; named here so the
-  /// thread-local ring cache can hold typed pointers).
-  struct Ring;
-
   explicit Ledger(size_t ring_capacity = kDefaultRingCapacity);
-  ~Ledger();
   Ledger(const Ledger&) = delete;
   Ledger& operator=(const Ledger&) = delete;
 
   /// Id for a primitive/target name (>= 1; creates on first use). Id 0 is
   /// reserved for "-" (unknown). Returns 0 when the name table is full.
-  u32 intern(const std::string& name);
-  std::string name_of(u32 id) const;
+  u32 intern(const std::string& name) { return names_.intern(name); }
+  std::string name_of(u32 id) const { return names_.name_of(id); }
   /// Dense name table, index == id (index 0 is "-").
-  std::vector<std::string> names() const;
+  std::vector<std::string> names() const { return names_.names(); }
 
   /// Lock-free fast path: append to the calling thread's ring and bump the
   /// exact per-primitive / per-stage tallies.
   void record(LedgerStage stage, ProbeOutcome outcome, u32 primitive, u32 target,
               u64 addr, u64 ts_ns);
 
-  /// Pre-create the calling thread's ring (one mutex acquisition) so the
-  /// first record() on a worker thread stays lock-free. Pool workers call
-  /// this once at thread start.
-  void register_current_thread() { ring_for_thread(); }
+  /// Pre-create the calling thread's ring (one mutex acquisition) so its
+  /// first record() stays lock-free. Otherwise the first record() creates
+  /// it; either way it is archived and freed when the thread exits.
+  void register_current_thread() { events_.attach_thread(); }
 
   /// Drain every thread ring into the archive and return a copy of the full
   /// archive, sorted by (ts_ns, stage, primitive, target, addr, outcome) so
@@ -119,6 +115,9 @@ class Ledger {
 
   /// Events lost to ring/archive overflow. Tallies stay exact regardless.
   u64 dropped() const;
+  /// Per-thread rings currently allocated (threads that recorded and are
+  /// still alive).
+  size_t live_rings() const;
 
   /// Exact emission tallies (survive ring overflow; audit substrate).
   u64 total(u32 primitive, ProbeOutcome o) const;  // summed over stages
@@ -149,14 +148,8 @@ class Ledger {
   static Ledger& global();
 
  private:
-  Ring& ring_for_thread();
-
-  const size_t ring_capacity_;
-  const u64 id_;  // unique per ledger instance (thread-local cache key)
-
-  mutable std::mutex mu_;  // guards rings_ registration, names_, archive_
-  std::vector<std::unique_ptr<Ring>> rings_;
-  std::vector<std::string> names_;
+  NameTable names_{kMaxNames};
+  mutable std::mutex mu_;  // guards archive_ and the ring set of events_
   std::vector<ProbeEvent> archive_;
   u64 archive_dropped_ = 0;
 
@@ -166,6 +159,8 @@ class Ledger {
       prim_tallies_{};
   std::array<std::array<std::atomic<u64>, kNumProbeOutcomes>, kNumLedgerStages>
       stage_tallies_{};
+  // Last: destroyed first, so no exiting thread archives into a dead ledger.
+  EventRing<ProbeEvent> events_;
 };
 
 // --- audit -------------------------------------------------------------------

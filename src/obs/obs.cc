@@ -187,8 +187,7 @@ void Registry::reset_values() {
   }
 }
 
-namespace {
-std::string json_escape(const std::string& s) {
+std::string json_escape(std::string_view s) {
   std::string out;
   for (char c : s) {
     switch (c) {
@@ -210,6 +209,7 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+namespace {
 std::string hist_json(const Histogram& h) {
   return strf(
       "{\"count\":%llu,\"sum\":%llu,\"min\":%llu,\"max\":%llu,\"mean\":%.3f,"

@@ -29,6 +29,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -260,6 +261,10 @@ class Registry {
   mutable std::mutex mu_;
   std::map<std::string, Entry> metrics_;
 };
+
+/// `s` as the body of a JSON string: quotes, backslashes and every C0
+/// control byte escaped. The one escaper behind every JSON export.
+std::string json_escape(std::string_view s);
 
 /// Extract a numeric value from a flat JSON document produced by
 /// Registry::json() / BenchSession. `key` is the metric name, optionally

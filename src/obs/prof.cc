@@ -23,40 +23,17 @@ std::string prof_flags_name(u16 flags) {
   return out.empty() ? "-" : out;
 }
 
-// --- Shard -------------------------------------------------------------------
+// --- Heat shards --------------------------------------------------------------
 
 namespace {
 /// Heat key in interned-id space (names are resolved only at export).
 using HeatKey = std::tuple<u32, u32, u32, u16, u16>;  // block, stage, target, sys, flags
-}  // namespace
 
-/// Per-thread shard: an SPSC raw-sample ring (owning thread produces, a
-/// drainer holding the profiler mutex consumes) plus the exact heat tallies
-/// under a shard-local mutex that only the (rare) snapshot ever contends.
-struct Profiler::Shard {
-  explicit Shard(size_t cap) : buf(cap) {}
-
-  std::vector<ProfSample> buf;
-  std::atomic<u64> head{0};
-  std::atomic<u64> tail{0};
-  std::atomic<u64> dropped{0};
-
-  std::mutex mu;
-  std::map<HeatKey, u64> heat;
-};
-
-namespace {
-
-/// Thread-local shard cache, keyed by a per-profiler unique id (never by
-/// address: a test profiler destroyed and another allocated at the same
-/// address must not alias a stale entry).
-struct TlsShardRef {
-  u64 profiler_id;
-  Profiler::Shard* shard;
-};
-thread_local std::vector<TlsShardRef> t_shards;
-
-std::atomic<u64> g_next_profiler_id{1};
+/// Samplers spread over this many heat maps (a thread keeps its shard), so
+/// concurrent samplers rarely share a lock while every count stays exact.
+constexpr u32 kHeatShards = 8;
+constexpr size_t kArchiveCap = 1 << 18;
+std::atomic<u32> g_next_heat_shard{0};
 
 u64 env_interval() {
   const char* p = std::getenv("CRP_PROF");
@@ -72,11 +49,19 @@ u64 env_interval() {
 
 }  // namespace
 
+struct Profiler::HeatShard {
+  std::mutex mu;
+  std::map<HeatKey, u64> heat;
+};
+
 Profiler::Profiler(size_t ring_capacity)
-    : ring_capacity_(std::max<size_t>(ring_capacity, 8)),
-      id_(g_next_profiler_id.fetch_add(1, std::memory_order_relaxed)) {
-  names_.push_back("-");  // id 0: none/unknown
-}
+    : heat_(std::make_unique<HeatShard[]>(kHeatShards)),
+      ring_(mu_, ring_capacity, [this](const ProfSample& s) {
+        if (archive_.size() < kArchiveCap)
+          archive_.push_back(s);
+        else
+          ++archive_dropped_;
+      }) {}
 
 Profiler::~Profiler() = default;
 
@@ -89,44 +74,12 @@ Profiler& Profiler::global() {
   return *g;
 }
 
-Profiler::Shard& Profiler::shard_for_thread() {
-  for (const TlsShardRef& r : t_shards)
-    if (r.profiler_id == id_) return *r.shard;
-  std::lock_guard<std::mutex> lock(mu_);
-  shards_.push_back(std::make_unique<Shard>(ring_capacity_));
-  Shard* shard = shards_.back().get();
-  t_shards.push_back({id_, shard});
-  return *shard;
-}
-
-u32 Profiler::intern(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; i < names_.size(); ++i)
-    if (names_[i] == name) return static_cast<u32>(i);
-  names_.push_back(name);
-  return static_cast<u32>(names_.size() - 1);
-}
-
-std::string Profiler::name_of(u32 id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return id < names_.size() ? names_[id] : std::string("-");
-}
-
 void Profiler::record(const ProfSample& s) {
   if (!detail::recording()) return;
-  Shard& sh = shard_for_thread();
-
-  u64 head = sh.head.load(std::memory_order_relaxed);
-  u64 tail = sh.tail.load(std::memory_order_acquire);
-  if (head - tail >= sh.buf.size()) {
-    // Full: drop the newest raw sample (overwriting the oldest would race
-    // the drainer). The heat tally below is exact regardless.
-    sh.dropped.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    sh.buf[static_cast<size_t>(head % sh.buf.size())] = s;
-    sh.head.store(head + 1, std::memory_order_release);
-  }
-
+  ring_.push(s);  // a full ring drops the raw sample; the heat stays exact
+  thread_local const u32 t_heat_slot =
+      g_next_heat_shard.fetch_add(1, std::memory_order_relaxed) % kHeatShards;
+  HeatShard& sh = heat_[t_heat_slot];
   {
     std::lock_guard<std::mutex> lock(sh.mu);
     ++sh.heat[HeatKey{s.block, s.stage, s.target, s.syscall, s.flags}];
@@ -136,27 +89,12 @@ void Profiler::record(const ProfSample& s) {
 
 u64 Profiler::dropped() const {
   std::lock_guard<std::mutex> lock(mu_);
-  u64 n = archive_dropped_;
-  for (const auto& sh : shards_) n += sh->dropped.load(std::memory_order_relaxed);
-  return n;
+  return archive_dropped_ + ring_.dropped_locked();
 }
 
 std::vector<ProfSample> Profiler::samples_snapshot() {
-  constexpr size_t kArchiveCap = 1 << 18;
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& shp : shards_) {
-    Shard& sh = *shp;
-    u64 head = sh.head.load(std::memory_order_acquire);
-    u64 tail = sh.tail.load(std::memory_order_relaxed);
-    for (; tail != head; ++tail) {
-      if (archive_.size() >= kArchiveCap) {
-        ++archive_dropped_;
-        continue;
-      }
-      archive_.push_back(sh.buf[static_cast<size_t>(tail % sh.buf.size())]);
-    }
-    sh.tail.store(tail, std::memory_order_release);
-  }
+  ring_.drain_locked();
   std::vector<ProfSample> out = archive_;
   std::sort(out.begin(), out.end(), [](const ProfSample& a, const ProfSample& b) {
     return std::tie(a.vcount, a.pc, a.block, a.stage, a.target, a.syscall, a.flags) <
@@ -167,15 +105,11 @@ std::vector<ProfSample> Profiler::samples_snapshot() {
 
 std::vector<Profiler::HeatRow> Profiler::heat() const {
   std::map<HeatKey, u64> merged;
-  std::vector<std::string> names;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& shp : shards_) {
-      std::lock_guard<std::mutex> slock(shp->mu);
-      for (const auto& [k, n] : shp->heat) merged[k] += n;
-    }
-    names = names_;
+  for (u32 i = 0; i < kHeatShards; ++i) {
+    std::lock_guard<std::mutex> lock(heat_[i].mu);
+    for (const auto& [k, n] : heat_[i].heat) merged[k] += n;
   }
+  std::vector<std::string> names = names_.names();
   auto resolve = [&](u32 id) {
     return id < names.size() ? names[id] : std::string("-");
   };
@@ -231,24 +165,13 @@ std::string Profiler::collapsed() const {
   return out;
 }
 
-namespace {
-std::string jesc(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-}  // namespace
-
 std::string Profiler::report_json(const std::string& name, size_t top_k) const {
   std::vector<HeatRow> rows = heat();
   std::vector<std::pair<std::string, u64>> blocks = hot_blocks(top_k);
   u64 total = samples();
 
   std::string out = "{\n";
-  out += strf("\"prof\": \"%s\",\n\"schema\": 1,\n", jesc(name).c_str());
+  out += strf("\"prof\": \"%s\",\n\"schema\": 1,\n", json_escape(name).c_str());
   // No "dropped" field on purpose: ring overflow counts are scheduling-
   // dependent, and this report must be bit-identical at any CRP_JOBS. The
   // drop count is diagnostics, not data — BenchSession logs it to stderr.
@@ -263,7 +186,7 @@ std::string Profiler::report_json(const std::string& name, size_t top_k) const {
                               : 0.0;
     out += strf("\n  {\"rank\": %zu, \"block\": \"%s\", \"samples\": %llu, "
                 "\"share\": %.6f}",
-                i + 1, jesc(blocks[i].first).c_str(),
+                i + 1, json_escape(blocks[i].first).c_str(),
                 static_cast<unsigned long long>(blocks[i].second), share);
   }
   out += "\n],\n\"heat\": [";
@@ -272,8 +195,8 @@ std::string Profiler::report_json(const std::string& name, size_t top_k) const {
     if (i != 0) out += ",";
     out += strf("\n  {\"block\": \"%s\", \"stage\": \"%s\", \"target\": \"%s\", "
                 "\"syscall\": \"%s\", \"flags\": \"%s\", \"samples\": %llu}",
-                jesc(r.block).c_str(), jesc(r.stage).c_str(), jesc(r.target).c_str(),
-                jesc(r.syscall).c_str(), prof_flags_name(r.flags).c_str(),
+                json_escape(r.block).c_str(), json_escape(r.stage).c_str(), json_escape(r.target).c_str(),
+                json_escape(r.syscall).c_str(), prof_flags_name(r.flags).c_str(),
                 static_cast<unsigned long long>(r.samples));
   }
   out += "\n]\n}\n";
@@ -282,15 +205,12 @@ std::string Profiler::report_json(const std::string& name, size_t top_k) const {
 
 void Profiler::clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& shp : shards_) {
-    Shard& sh = *shp;
-    std::lock_guard<std::mutex> slock(sh.mu);
-    sh.tail.store(sh.head.load(std::memory_order_acquire), std::memory_order_release);
-    sh.dropped.store(0, std::memory_order_relaxed);
-    sh.heat.clear();
+  ring_.clear_locked();
+  for (u32 i = 0; i < kHeatShards; ++i) {
+    std::lock_guard<std::mutex> slock(heat_[i].mu);
+    heat_[i].heat.clear();
   }
   names_.clear();
-  names_.push_back("-");
   archive_.clear();
   archive_dropped_ = 0;
   samples_.store(0, std::memory_order_relaxed);

@@ -17,9 +17,9 @@
 // driver, the kernel's syscall dispatch, and the oracle's probe loop
 // maintain via the RAII scopes below.
 //
-// Storage mirrors src/obs/ledger.cc: raw samples go to per-thread SPSC
-// rings (lock-free fast path, drops counted, drained on demand), while the
-// heat table is kept *exactly* in per-thread aggregation shards — ring
+// Storage: raw samples go to the shared per-thread EventRing (obs/ring.h:
+// lock-free fast path, drops counted, drained on demand), while the heat
+// table is kept *exactly* in thread-sharded aggregation maps — ring
 // pressure can lose raw samples but never a heat count, which is what the
 // determinism contract is stated over. Exports resolve interned ids back to
 // names and sort by (count desc, names asc), so id assignment order (which
@@ -37,6 +37,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/ring.h"
 #include "util/common.h"
 
 namespace crp::obs {
@@ -80,10 +81,9 @@ static_assert(sizeof(ProfSample) == 32, "prof samples are fixed-size");
 class Profiler {
  public:
   static constexpr size_t kDefaultRingCapacity = 1 << 12;
-
-  /// Opaque per-thread shard (ring + exact heat tallies; definition in
-  /// prof.cc, named here so the thread-local cache can hold typed pointers).
-  struct Shard;
+  /// Interned-name capacity, above any profile today (bench_seh_funnel
+  /// interns ~5k names); sample syscall ids are u16 anyway.
+  static constexpr u32 kMaxNames = 1 << 16;
 
   /// One resolved row of the heat table. Sorted export order: samples desc,
   /// then (block, stage, target, syscall, flags) asc — deterministic
@@ -113,9 +113,9 @@ class Profiler {
   bool enabled() const { return interval() != 0; }
 
   /// Id for a block/stage/target/syscall name (>= 1; creates on first use).
-  /// Id 0 is reserved for "-" (none/unknown).
-  u32 intern(const std::string& name);
-  std::string name_of(u32 id) const;
+  /// Id 0 is reserved for "-" (none/unknown); a full table returns 0.
+  u32 intern(const std::string& name) { return names_.intern(name); }
+  std::string name_of(u32 id) const { return names_.name_of(id); }
 
   /// Calling thread's sampling context (shared by all Profiler instances;
   /// context is a property of the thread, not of a profiler). Inline: the
@@ -159,18 +159,18 @@ class Profiler {
   void clear();
 
  private:
-  Shard& shard_for_thread();
+  struct HeatShard;  // exact (context -> count) tallies, see prof.cc
 
-  const size_t ring_capacity_;
-  const u64 id_;  // unique per profiler instance (thread-local cache key)
   std::atomic<u64> interval_{0};
   std::atomic<u64> samples_{0};
+  NameTable names_{kMaxNames};
+  std::unique_ptr<HeatShard[]> heat_;
 
-  mutable std::mutex mu_;  // guards shards_ registration, names_, archive_
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::string> names_;
+  mutable std::mutex mu_;  // guards archive_ and the ring set of ring_
   std::vector<ProfSample> archive_;
   u64 archive_dropped_ = 0;
+  // Last: destroyed first, so no exiting thread archives into a dead profiler.
+  EventRing<ProfSample> ring_;
 };
 
 // --- RAII context scopes ------------------------------------------------------

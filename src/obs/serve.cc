@@ -45,7 +45,7 @@ std::string ledger_json() {
     if (any == 0) continue;
     if (!first) out += ",";
     first = false;
-    out += strf("\n  {\"name\": \"%s\"", names[id].c_str());
+    out += strf("\n  {\"name\": \"%s\"", json_escape(names[id]).c_str());
     for (u32 o = 0; o < kNumProbeOutcomes; ++o)
       out += strf(", \"%s\": %llu",
                   probe_outcome_name(static_cast<ProbeOutcome>(o)),

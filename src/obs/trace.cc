@@ -30,33 +30,8 @@ const char* span_kind_name(SpanKind k) {
   return "?";
 }
 
-// --- Ring --------------------------------------------------------------------
-
-/// SPSC ring, same shape as Ledger::Ring: the owning thread is the only
-/// producer (record), a drainer holding the tracer mutex is the only
-/// consumer (drain_locked).
-struct JobTracer::Ring {
-  explicit Ring(size_t cap) : buf(cap) {}
-
-  std::vector<JobSpan> buf;
-  std::atomic<u64> head{0};
-  std::atomic<u64> tail{0};
-  std::atomic<u64> dropped{0};
-};
-
 namespace {
-
-/// Thread-local ring cache keyed by per-tracer unique id (never address —
-/// a destroyed tracer's slot must not alias a new one's).
-struct TlsRingRef {
-  u64 tracer_id;
-  JobTracer::Ring* ring;
-};
-thread_local std::vector<TlsRingRef> t_rings;
-std::atomic<u64> g_next_tracer_id{1};
-
 thread_local TraceJobCtx t_job_ctx;
-
 }  // namespace
 
 TraceJobCtx current_trace_job() { return t_job_ctx; }
@@ -70,12 +45,7 @@ ScopedTraceJob::~ScopedTraceJob() { t_job_ctx = prev_; }
 // --- JobTracer ---------------------------------------------------------------
 
 JobTracer::JobTracer(size_t ring_capacity)
-    : ring_capacity_(std::max<size_t>(ring_capacity, 8)),
-      id_(g_next_tracer_id.fetch_add(1, std::memory_order_relaxed)) {
-  names_.push_back("-");  // id 0: unknown / none
-}
-
-JobTracer::~JobTracer() = default;
+    : spans_(mu_, ring_capacity, [this](const JobSpan& s) { append_locked(s); }) {}
 
 JobTracer& JobTracer::global() {
   static JobTracer* g = new JobTracer();
@@ -100,30 +70,6 @@ u64 JobTracer::start_trace(u64 requested) {
   return next_trace_.fetch_add(1, std::memory_order_relaxed);
 }
 
-JobTracer::Ring& JobTracer::ring_for_thread() {
-  for (const TlsRingRef& r : t_rings)
-    if (r.tracer_id == id_) return *r.ring;
-  std::lock_guard<std::mutex> lock(mu_);
-  rings_.push_back(std::make_unique<Ring>(ring_capacity_));
-  Ring* ring = rings_.back().get();
-  t_rings.push_back({id_, ring});
-  return *ring;
-}
-
-u32 JobTracer::intern(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; i < names_.size(); ++i)
-    if (names_[i] == name) return static_cast<u32>(i);
-  if (names_.size() >= kMaxNames) return 0;  // table full: fold into "-"
-  names_.push_back(name);
-  return static_cast<u32>(names_.size() - 1);
-}
-
-std::string JobTracer::name_of(u32 id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return id < names_.size() ? names_[id] : std::string("-");
-}
-
 void JobTracer::record(u64 trace, u64 job, SpanKind kind, u32 label, u64 arg,
                        u64 t0_ns, u64 t1_ns) {
   if (!armed() || !detail::recording() || trace == 0) return;
@@ -137,17 +83,7 @@ void JobTracer::record(u64 trace, u64 job, SpanKind kind, u32 label, u64 arg,
   s.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   s.label = label < kMaxNames ? label : 0;
   s.kind = kind;
-
-  Ring& r = ring_for_thread();
-  u64 head = r.head.load(std::memory_order_relaxed);
-  u64 tail = r.tail.load(std::memory_order_acquire);
-  if (head - tail >= r.buf.size()) {
-    // Full: drop the newest (overwriting the oldest would race the drainer).
-    r.dropped.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    r.buf[static_cast<size_t>(head % r.buf.size())] = s;
-    r.head.store(head + 1, std::memory_order_release);
-  }
+  spans_.push(s);
   Registry::global().counter("crpd.trace.spans").inc();
 }
 
@@ -280,20 +216,9 @@ void JobTracer::append_locked(const JobSpan& s) {
   it->second.push_back(s);
 }
 
-void JobTracer::drain_locked() {
-  for (auto& rp : rings_) {
-    Ring& r = *rp;
-    u64 head = r.head.load(std::memory_order_acquire);
-    u64 tail = r.tail.load(std::memory_order_relaxed);
-    for (; tail != head; ++tail)
-      append_locked(r.buf[static_cast<size_t>(tail % r.buf.size())]);
-    r.tail.store(tail, std::memory_order_release);
-  }
-}
-
 std::vector<JobTracer::JobTraceView> JobTracer::snapshot() {
   std::lock_guard<std::mutex> lock(mu_);
-  drain_locked();
+  spans_.drain_locked();
   std::vector<JobTraceView> out;
   out.reserve(archive_.size());
   for (const auto& [key, spans] : archive_) {
@@ -321,9 +246,7 @@ std::vector<JobSpan> JobTracer::spans_for(u64 trace) {
 
 u64 JobTracer::dropped() const {
   std::lock_guard<std::mutex> lock(mu_);
-  u64 d = dropped_;
-  for (const auto& rp : rings_) d += rp->dropped.load(std::memory_order_relaxed);
-  return d;
+  return dropped_ + spans_.dropped_locked();
 }
 
 std::string JobTracer::traces_json() {
@@ -352,7 +275,7 @@ std::string JobTracer::traces_json() {
       out += strf("{\"seq\": %llu, \"kind\": \"%s\", \"label\": \"%s\", "
                   "\"arg\": %llu, \"t0_ns\": %llu, \"t1_ns\": %llu}",
                   static_cast<unsigned long long>(s.seq), span_kind_name(s.kind),
-                  name_of(s.label).c_str(), static_cast<unsigned long long>(s.arg),
+                  json_escape(name_of(s.label)).c_str(), static_cast<unsigned long long>(s.arg),
                   static_cast<unsigned long long>(s.t0_ns),
                   static_cast<unsigned long long>(s.t1_ns));
     }
@@ -364,43 +287,32 @@ std::string JobTracer::traces_json() {
 }
 
 std::string JobTracer::chrome_trace_json() {
-  std::vector<JobTraceView> views = snapshot();
-  std::string out = "[";
-  bool first = true;
-  for (const JobTraceView& v : views) {
+  std::vector<TraceEvent> events;
+  for (const JobTraceView& v : snapshot()) {
     for (const JobSpan& s : v.spans) {
-      out += first ? "\n" : ",\n";
-      first = false;
-      std::string label = name_of(s.label);
-      u64 dur = s.t1_ns > s.t0_ns ? (s.t1_ns - s.t0_ns) / 1000 : 0;
-      out += strf("{\"name\": \"%s%s%s\", \"cat\": \"trace:%llu\", \"ph\": \"X\", "
-                  "\"ts\": %llu, \"dur\": %llu, \"pid\": 1, \"tid\": %llu, "
-                  "\"args\": {\"arg\": %llu}}",
-                  span_kind_name(s.kind), s.label != 0 ? ":" : "",
-                  s.label != 0 ? label.c_str() : "",
-                  static_cast<unsigned long long>(v.trace),
-                  static_cast<unsigned long long>(s.t0_ns / 1000),
-                  static_cast<unsigned long long>(dur),
-                  static_cast<unsigned long long>(v.job),
-                  static_cast<unsigned long long>(s.arg));
+      TraceEvent e;
+      e.name = span_kind_name(s.kind);
+      if (s.label != 0) e.name += ":" + name_of(s.label);
+      e.cat = strf("trace:%llu", static_cast<unsigned long long>(v.trace));
+      e.ts_us = s.t0_ns / 1000;
+      e.dur_us = s.t1_ns > s.t0_ns ? (s.t1_ns - s.t0_ns) / 1000 : 0;
+      e.tid = v.job;
+      e.arg_name = "arg";
+      e.arg = static_cast<i64>(s.arg);
+      e.arg_unsigned = true;
+      events.push_back(std::move(e));
     }
   }
-  out += "\n]\n";
-  return out;
+  return write_chrome_trace(std::move(events));
 }
 
 void JobTracer::clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& rp : rings_) {
-    Ring& r = *rp;
-    r.tail.store(r.head.load(std::memory_order_acquire), std::memory_order_release);
-    r.dropped.store(0, std::memory_order_relaxed);
-  }
+  spans_.clear_locked();
   archive_.clear();
   archive_fifo_.clear();
   live_.clear();
   names_.clear();
-  names_.push_back("-");
   dropped_ = 0;
   flags_.store(0, std::memory_order_relaxed);
 }

@@ -17,10 +17,10 @@
 //   lease_coalesce  replayed a stored artifact instead of computing
 //   render          FETCH rendered the report (arg = payload bytes)
 //
-// Spans land in ledger-style per-thread SPSC rings (one writer each, the
-// drainer is the only other toucher) and drain into a bounded per-job
-// archive, exported as per-job JSON (/traces.json) and merged Chrome
-// trace_event lanes (/trace.json, one lane per job id).
+// Spans land in the shared per-thread EventRing (obs/ring.h: one writer
+// per ring, the drainer is the only other toucher) and drain into a
+// bounded per-job archive, exported as per-job JSON (/traces.json) and
+// merged Chrome trace_event lanes (/trace.json, one lane per job id).
 //
 // Determinism contract: span *content* — kinds, interned labels, args,
 // per-job order — derives only from the submit tuple (target, knobs,
@@ -43,16 +43,15 @@
 // the PR-8 deadlock class is detectable, not just fixed.
 #pragma once
 
+#include <atomic>
 #include <deque>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include <atomic>
-
+#include "obs/ring.h"
 #include "util/common.h"
 
 namespace crp::obs {
@@ -99,10 +98,7 @@ class JobTracer {
   /// Archived (trace, job) lanes are evicted FIFO past this cap.
   static constexpr size_t kMaxArchivedJobs = 4096;
 
-  struct Ring;  // public: the thread-local ring cache names it
-
   explicit JobTracer(size_t ring_capacity = kDefaultRingCapacity);
-  ~JobTracer();
   JobTracer(const JobTracer&) = delete;
   JobTracer& operator=(const JobTracer&) = delete;
 
@@ -119,8 +115,8 @@ class JobTracer {
   /// Intern a label (step/stage name). Capped at kMaxNames; overflow
   /// returns 0 ("-"). Id order is first-come, so label *names*, not ids,
   /// are the deterministic identity — compare via name_of().
-  u32 intern(const std::string& name);
-  std::string name_of(u32 id) const;
+  u32 intern(const std::string& name) { return names_.intern(name); }
+  std::string name_of(u32 id) const { return names_.name_of(id); }
 
   /// Record one span. No-op unless armed, recording, and trace != 0.
   void record(u64 trace, u64 job, SpanKind kind, u32 label, u64 arg, u64 t0_ns,
@@ -185,24 +181,21 @@ class JobTracer {
   static JobTracer& global();
 
  private:
-  Ring& ring_for_thread();
-  void drain_locked();
   void append_locked(const JobSpan& s);
 
-  const size_t ring_capacity_;
-  const u64 id_;  // distinguishes instances in thread-local ring caches
   std::atomic<bool> armed_{false};
   std::atomic<u64> next_trace_{1};
   std::atomic<u64> next_seq_{1};
   std::atomic<u64> flags_{0};
+  NameTable names_{kMaxNames};
 
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Ring>> rings_;
-  std::vector<std::string> names_;
+  mutable std::mutex mu_;  // guards the archive, live_ and the ring set of spans_
   std::map<std::pair<u64, u64>, std::vector<JobSpan>> archive_;
   std::deque<std::pair<u64, u64>> archive_fifo_;
   u64 dropped_ = 0;
   std::map<u64, LiveJob> live_;
+  // Last: destroyed first, so no exiting thread archives into a dead tracer.
+  EventRing<JobSpan> spans_;
 };
 
 /// Thread-local job context, installed by the queue around a job's drive

@@ -523,8 +523,15 @@ void ArtifactStore::clear() {
 }
 
 ArtifactStore& ArtifactStore::global() {
-  static ArtifactStore store;
-  return store;
+  // Built without the caller's thread-local ScopedPlan: the process-wide
+  // store would outlive that plan, and which caller builds it first (so
+  // whose plan and salt slot its fault stream takes) depends on thread
+  // timing. A process-wide plan (CRP_CHAOS) still arms it.
+  static ArtifactStore* store = [] {
+    chaos::ScopedThreadPlan process_plan_only({});
+    return new ArtifactStore();  // intentionally leaked: outlives all users
+  }();
+  return *store;
 }
 
 }  // namespace crp::pipeline

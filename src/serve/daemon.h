@@ -136,7 +136,6 @@ class Daemon {
 
   DaemonOptions opts_;
   pipeline::TargetRegistry registry_;
-  pipeline::JobQueue queue_;
   SocketServer server_;
 
   // Per-connection line assembly. Only touched from transport callbacks,
@@ -163,6 +162,10 @@ class Daemon {
   obs::Counter* c_rej_tenants_;
   obs::Counter* c_conns_opened_;
   obs::Counter* c_conns_closed_;
+
+  // Last: destroyed first, so its workers are joined before the state their
+  // event callbacks touch (mu_, watchers_, slos_, server_) goes away.
+  pipeline::JobQueue queue_;
 };
 
 }  // namespace crp::serve

@@ -145,6 +145,10 @@ struct BadCase {
   const char* want;  // substring of the diagnostic
 };
 
+// Without this gtest prints the raw struct bytes -- three pointers -- so the
+// listed test names would change with every load address.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.name; }
+
 class AsmTextErrors : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(AsmTextErrors, Diagnoses) {

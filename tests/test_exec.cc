@@ -1,15 +1,21 @@
-// crp::exec thread pool: worker-count resolution, per-task seeding, and the
-// determinism contract (input-order merge, job-count independence). The
-// hammer tests double as the TSan workload for the pool (see ci.yml).
+// crp::exec thread pool: worker-count resolution, per-task seeding, the
+// determinism contract (input-order merge, job-count independence) and a
+// ScopedPlan reaching worker tasks. The hammer tests double as the TSan
+// workload for the pool (see ci.yml).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <map>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <thread>
 
+#include "chaos/chaos.h"
 #include "exec/thread_pool.h"
 #include "obs/journal.h"
 #include "obs/obs.h"
@@ -158,6 +164,41 @@ TEST(ThreadPool, NestedEventsAdoptTheTaskLane) {
       EXPECT_LE(e.tid, obs::kJournalTaskLanes);
     }
   j.clear();
+}
+
+TEST(ThreadPool, ScopedPlanReachesWorkerTasks) {
+  // A ScopedPlan is thread-local. The pool must carry it and its recorder
+  // into worker threads, or which faults fire depends on which thread ran
+  // a task.
+  auto run = [](int jobs) {
+    chaos::FaultPlan plan;
+    plan.seed = 11;
+    plan.rate = 4;
+    plan.points = chaos::kIoPoints;
+    chaos::ScopedPlan scoped(plan);
+    ThreadPool pool(jobs);
+    std::mutex mu;
+    std::vector<chaos::FaultEvent> fired;
+    std::set<std::thread::id> threads;
+    pool.for_each_index(32, [&](u64) {
+      chaos::FaultStream s = chaos::make_stream(chaos::kIoPoints);
+      std::vector<chaos::FaultEvent> mine;
+      for (u64 k = 0; k < 16; ++k)
+        if (s.fire(chaos::Point::kSysEintr))
+          mine.push_back({s.salt(), k, chaos::Point::kSysEintr});
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));  // let workers claim
+      std::lock_guard<std::mutex> lock(mu);
+      fired.insert(fired.end(), mine.begin(), mine.end());
+      threads.insert(std::this_thread::get_id());
+    });
+    std::sort(fired.begin(), fired.end());
+    EXPECT_EQ(scoped.events(), fired) << "jobs=" << jobs;
+    if (jobs > 1) EXPECT_GT(threads.size(), 1u) << "no task ran on a worker";
+    return fired;
+  };
+  std::vector<chaos::FaultEvent> serial = run(1);
+  EXPECT_FALSE(serial.empty());
+  EXPECT_EQ(run(4), serial);
 }
 
 TEST(ThreadPool, ConcurrentMetricHammer) {

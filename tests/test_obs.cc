@@ -414,16 +414,16 @@ TEST(JournalTest, ChromeTraceSortedAndValid) {
   std::string out = j.chrome_trace_json();
   EXPECT_EQ(out.front(), '[');
   EXPECT_EQ(out.back(), ']');
-  size_t pa = out.find("\"ts\":100");
-  size_t pm = out.find("\"ts\":150");
-  size_t pb = out.find("\"ts\":200");
+  size_t pa = out.find("\"ts\": 100");
+  size_t pm = out.find("\"ts\": 150");
+  size_t pb = out.find("\"ts\": 200");
   ASSERT_NE(pa, std::string::npos);
   ASSERT_NE(pm, std::string::npos);
   ASSERT_NE(pb, std::string::npos);
   EXPECT_LT(pa, pm);
   EXPECT_LT(pm, pb);
-  EXPECT_NE(out.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(out.find("\"ph\":\"i\""), std::string::npos);
+  EXPECT_NE(out.find("\"ph\": \"X\""), std::string::npos);
+  EXPECT_NE(out.find("\"ph\": \"i\""), std::string::npos);
 }
 
 TEST(JournalTest, DisabledJournalRecordsNothing) {

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/report.h"
+#include "chaos/chaos.h"
 #include "pipeline/campaign.h"
 #include "pipeline/job_queue.h"
 #include "targets/nginx.h"
@@ -145,6 +146,18 @@ TEST(ArtifactStore, DiskTierSurvivesMemoryClear) {
 TEST(ArtifactStore, KeyStringIsStable) {
   ArtifactKey key{"taint_trace", 0x1a2b, 0x3c4d};
   EXPECT_EQ(key.str(), "taint_trace-0000000000001a2b-0000000000003c4d");
+}
+
+TEST(ArtifactStore, GlobalStoreIgnoresTheCallersScopedPlan) {
+  // Built under a ScopedPlan, the process-wide store must neither arm its
+  // fault stream with that (shorter-lived) plan nor take a salt slot from
+  // the caller's task context. Meaningful when this process builds the
+  // store here (ctest runs each test in its own process).
+  chaos::FaultPlan plan;
+  plan.points = chaos::kCachePoints;
+  chaos::ScopedPlan scoped(plan);
+  ArtifactStore::global();
+  EXPECT_EQ(chaos::task_ctx().streams, 0u);
 }
 
 // --- codecs ------------------------------------------------------------------

@@ -47,6 +47,16 @@ TEST(Profiler, InternIsStableAndZeroIsNone) {
   EXPECT_EQ(p.name_of(999), "-");  // out of range never throws
 }
 
+TEST(Profiler, InternIsStableAndBounded) {
+  Profiler p;
+  u32 a = p.intern("alpha");
+  for (u32 i = 0; i < Profiler::kMaxNames + 8; ++i)
+    p.intern(strf("blk-%u", i));
+  EXPECT_EQ(p.intern("alpha"), a);  // still idempotent when full
+  EXPECT_EQ(p.intern("one-more"), 0u);  // table full folds to id 0
+  EXPECT_EQ(p.name_of(Profiler::kMaxNames), "-");
+}
+
 TEST(Profiler, ContextScopesNestAndRestore) {
   Profiler& g = Profiler::global();
   u64 prev_interval = g.interval();

@@ -19,6 +19,8 @@
 #include <vector>
 
 #include "obs/expo.h"
+#include "obs/journal.h"
+#include "obs/ledger.h"
 #include "obs/obs.h"
 #include "obs/prof.h"
 #include "obs/serve.h"
@@ -71,6 +73,39 @@ TEST(Respond, LedgerAndProfRoutesAreWellFormed) {
   EXPECT_NE(prof.body.find("\"hot_blocks\""), std::string::npos);
 
   EXPECT_EQ(respond("/prof.folded").status, 200);
+}
+
+TEST(Respond, JsonExportsEscapeInternedNames) {
+  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out (CRP_OBS_DISABLED)";
+  // One name with a quote, a backslash and a C0 byte, interned into every
+  // recorder: each JSON export must write \", \\ and \u0001.
+  const std::string name = "q\"b\\c\x01";
+  const std::string escaped = "q\\\"b\\\\c\\u0001";
+  auto expect_escaped = [&](const std::string& body, const char* what) {
+    EXPECT_NE(body.find(escaped), std::string::npos) << what << ":\n" << body;
+  };
+
+  Ledger& led = Ledger::global();
+  led.record(LedgerStage::kDefense, ProbeOutcome::kSurvive, led.intern(name), 0, 0, 0);
+  expect_escaped(respond("/ledger.json").body, "/ledger.json");
+  expect_escaped(led.encode_jsonl(led.snapshot()), "ledger JSONL");
+
+  Profiler& prof = Profiler::global();
+  prof.record({0, 0, prof.intern(name), 0, 0, 0, 0});
+  expect_escaped(respond("/prof.json").body, "/prof.json");
+  prof.clear();
+
+  JobTracer& jt = JobTracer::global();
+  jt.set_armed(true);
+  jt.record(1, 1, SpanKind::kStep, jt.intern(name), 0, 0, 1000);
+  expect_escaped(respond("/traces.json").body, "/traces.json");
+  expect_escaped(respond("/trace.json").body, "/trace.json");
+  jt.set_armed(false);
+  jt.clear();
+
+  Journal journal;
+  journal.instant(name, "test", 0);
+  expect_escaped(journal.chrome_trace_json(), "journal trace");
 }
 
 TEST(Respond, UnknownPathIs404) {

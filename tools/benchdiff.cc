@@ -37,9 +37,11 @@
 #include <vector>
 
 #include "obs/expo.h"
+#include "obs/obs.h"
 #include "util/common.h"
 
 namespace fs = std::filesystem;
+using crp::obs::json_escape;
 using crp::obs::expo::BenchDoc;
 using crp::obs::expo::parse_bench_json;
 
@@ -207,15 +209,6 @@ bool load_set(const std::string& arg, BenchSet* out, std::string* git_sha = null
 }
 
 // --- baseline writing --------------------------------------------------------
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
 
 std::string env_or(const char* name, const char* fallback) {
   const char* v = std::getenv(name);

@@ -6,7 +6,7 @@
 //   1. A parallel target sweep: every kLinuxServer registry subject runs a
 //      reduced-budget Campaign syscall funnel under a per-cell ScopedPlan
 //      (one cell = target x seed, sharded over the exec pool; each cell's
-//      campaign runs jobs=1 because the plan override is thread-local).
+//      campaign runs jobs=1 because the cells already fill the pool).
 //      Invariant: the funnel completes and traces work under injected I/O
 //      and cache faults — no host crash, no hang, no empty trace.
 //
@@ -108,7 +108,7 @@ CellVerdict run_cell(const Cell& cell, const Options& opt) {
   chaos::ScopedPlan scope(plan);
 
   pipeline::CampaignOptions copts;
-  copts.jobs = 1;  // the plan override is thread-local: stay on this thread
+  copts.jobs = 1;  // the cells already fill the pool: no nested one
   copts.cache = false;
   copts.syscall.discover_budget = kSweepDiscoverBudget;
   copts.syscall.verify_budget = kSweepVerifyBudget;
