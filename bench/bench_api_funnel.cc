@@ -9,11 +9,12 @@
 //        (exclusions: stack-allocated / dereferenced-outside / volatile heap)
 //
 // Thin driver over the pipeline layer: the population comes from the
-// TargetRegistry (corpus/winapi), fuzzing runs through the Campaign's
-// ApiFuzzStage (answered from the content-addressed ArtifactStore on a
-// repeat), call-site reduction through CallSiteTraceStage. Every narrowing
-// step below is *measured*: black-box fuzzing, dynamic tracing of a
-// browsing workload, call-stack attribution, pointer classification.
+// TargetRegistry (corpus/winapi) and runs through its cell via
+// Campaign::run_target: ApiFuzzStage (answered from the content-addressed
+// ArtifactStore on a repeat), a traced browsing workload, then call-site
+// reduction through CallSiteTraceStage. Every narrowing step below is
+// *measured*: black-box fuzzing, dynamic tracing of a browsing workload,
+// call-stack attribution, pointer classification.
 
 #include <chrono>
 #include <cstdio>
@@ -21,8 +22,6 @@
 #include "exec/thread_pool.h"
 #include "obs/bench_support.h"
 #include "pipeline/campaign.h"
-#include "trace/tracer.h"
-#include "util/rng.h"
 
 namespace {
 double wall_ms() {
@@ -42,66 +41,28 @@ int main() {
   pipeline::TargetRegistry reg = pipeline::TargetRegistry::builtin();
   const pipeline::TargetSpec* spec = reg.find("corpus/winapi");
   CRP_CHECK(spec != nullptr);
-  pipeline::Campaign campaign;
-
-  os::Kernel kernel;
-  pipeline::Campaign::materialize_api_corpus(*spec, kernel);
+  double t0 = wall_ms();
+  pipeline::TargetReport rep = pipeline::Campaign().run_target(*spec);
+  const pipeline::ApiOutcome& api = rep.api;
+  const analysis::ApiFunnel& funnel = api.funnel;
+  // stderr only: stdout must be bit-identical across CRP_JOBS values.
+  fprintf(stderr, "[exec] run_target %.1f ms (jobs=%d, cache %s)\n", wall_ms() - t0,
+          exec::resolve_jobs(), rep.cache_hit ? "hit" : "miss");
 
   // Stage 1: fuzz the whole surface.
   printf("[1] fuzzing %u APIs with invalid pointers (3 probes per pointer arg)...\n",
          spec->api.total);
-  double t0 = wall_ms();
-  pipeline::ApiFuzzStage::Out fuzzed = campaign.fuzz_apis(kernel);
-  const analysis::ApiFuzzResult& fuzz = fuzzed.result;
-  // stderr only: stdout must be bit-identical across CRP_JOBS values.
-  fprintf(stderr, "[exec] fuzz %.1f ms (jobs=%d, cache %s)\n", wall_ms() - t0,
-          exec::resolve_jobs(), fuzzed.cache_hit ? "hit" : "miss");
-  printf("    %u with pointer args, %zu crash-resistant, %u probes\n\n",
-         fuzz.with_pointer_args, fuzz.crash_resistant.size(), fuzz.probes_executed);
+  printf("    %u with pointer args, %u crash-resistant, %u probes\n\n",
+         funnel.with_pointer, funnel.crash_resistant, api.probes_executed);
 
   // Stage 2: which of those appear on a browsing execution path? The
   // browser calls a uniform sample of the population through generated call
   // stubs (≈6%, the rate that puts ~25 crash-resistant APIs on path).
-  Rng rng(0xFA77);
-  std::vector<u32> stub_ids;
-  for (const auto& [id, api] : kernel.winapi().all()) {
-    if (id < os::kApiPopulationBase || !api.has_pointer_arg()) continue;
-    if (rng.chance(0.0625)) stub_ids.push_back(id);
-  }
-  printf("[2] browsing: %zu population APIs reachable from browser code...\n",
-         stub_ids.size());
-  targets::BrowserSim::Options opts;
-  opts.kind = targets::BrowserSim::Kind::kIE;
-  opts.seed = 0xF0;
-  opts.api_stub_ids = stub_ids;
-  targets::BrowserSim browser(kernel, opts);
-  trace::Tracer tracer(kernel, browser.proc());
-  tracer.set_record_mem_accesses(true);
-  browser.crawl();
-  for (u64 site = 0; site < 120; ++site) browser.visit_page(site);
-  browser.pump(2'000'000'000);
-  printf("    workload done (%zu API invocations traced)\n\n", tracer.api_calls().size());
+  printf("[2] browsing: %zu population APIs reachable from browser code...\n", api.stubs);
+  printf("    workload done (%zu API invocations traced)\n\n", api.api_calls);
 
-  // Stage 3+4: call-site analysis.
-  auto sites = campaign.call_sites(tracer, fuzz.crash_resistant, kernel,
-                                   browser.proc(), "jscript9");
-  std::set<u32> on_path, scripted, controllable;
-  analysis::ApiFunnel funnel;
-  for (const auto& s : sites) {
-    if (s.api_id < os::kApiPopulationBase) continue;  // count the population only
-    on_path.insert(s.api_id);
-    if (s.script_triggerable) scripted.insert(s.api_id);
-    if (s.exclusion == analysis::ExclusionReason::kNone) controllable.insert(s.api_id);
-    ++funnel.exclusion_histogram[analysis::exclusion_reason_name(s.exclusion)];
-  }
-
-  funnel.total = fuzz.total_apis;
-  funnel.with_pointer = fuzz.with_pointer_args;
-  funnel.crash_resistant = static_cast<u32>(fuzz.crash_resistant.size());
-  funnel.on_execution_path = static_cast<u32>(on_path.size());
-  funnel.script_triggerable = static_cast<u32>(scripted.size());
-  funnel.controllable = static_cast<u32>(controllable.size());
-
+  // Stage 3+4: call-site analysis (on path, script-triggerable, pointer
+  // controllability).
   printf("Measured funnel:\n%s\n", pipeline::ReportStage::api_funnel(funnel).c_str());
   printf("Paper funnel:    20672 -> 11521 (55.7%%) -> 400 -> 25 -> 12 -> 0\n");
   printf("(controllable = 0 is the paper's negative result: every surviving\n");

@@ -58,8 +58,7 @@ void BM_InterpreterThroughput(benchmark::State& state) {
 BENCHMARK(BM_InterpreterThroughput);
 
 // The documented-overhead pair: identical interpreter loop with metric
-// recording on vs off (the runtime kill switch; CRP_OBS_DISABLED compiles
-// the mutations out entirely for the true-zero baseline).
+// recording on vs off (the runtime kill switch).
 void BM_StepObsOn(benchmark::State& state) {
   obs::set_runtime_enabled(true);
   vm::Machine m(vm::Personality::kLinux, 1);

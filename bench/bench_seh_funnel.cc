@@ -7,18 +7,17 @@
 //
 // Thin driver over the pipeline layer: the corpus is the TargetRegistry's
 // browser/iexplore_sys187 subject (the 10 named DLLs + 177 fillers,
-// matching composition), the funnel runs through the Campaign's extract ->
-// classify -> xref stages (classification cached in the ArtifactStore);
-// all funnel numbers below are measured by the pipeline.
+// matching composition), run through its cell via Campaign::run_target
+// (traced browse -> extract -> classify -> xref + guard audit;
+// classification cached in the ArtifactStore); all funnel numbers below
+// are measured by the pipeline.
 
 #include <chrono>
 #include <cstdio>
 
-#include "analysis/guard_audit.h"
 #include "exec/thread_pool.h"
 #include "obs/bench_support.h"
 #include "pipeline/campaign.h"
-#include "trace/tracer.h"
 
 namespace {
 double wall_ms() {
@@ -38,67 +37,41 @@ int main() {
   pipeline::TargetRegistry reg = pipeline::TargetRegistry::builtin();
   const pipeline::TargetSpec* spec = reg.find("browser/iexplore_sys187");
   CRP_CHECK(spec != nullptr);
-  pipeline::Campaign campaign;
-
-  os::Kernel kernel;
-  targets::BrowserSim browser(kernel, pipeline::browser_options(*spec));
-  trace::Tracer tracer(kernel, browser.proc());
-
-  printf("[1] static extraction over %zu DLL images...\n", browser.dlls().size());
-  std::vector<std::vector<u8>> blobs = pipeline::Campaign::image_blobs(browser.dlls());
   double t0 = wall_ms();
-  pipeline::SehCorpus corpus = campaign.extract(blobs);
-  double t1 = wall_ms();
-  printf("    %zu C-specific handlers, %zu unique filter functions\n\n",
-         corpus.ex.handlers().size(), corpus.ex.unique_filters().size());
+  pipeline::TargetReport rep = pipeline::Campaign().run_target(*spec);
+  const pipeline::SehFunnel& seh = rep.seh;
+  // stderr only: stdout must be bit-identical across CRP_JOBS values.
+  fprintf(stderr, "[exec] run_target %.1f ms (jobs=%d, memo hits=%llu, cache %s)\n",
+          wall_ms() - t0, exec::resolve_jobs(),
+          static_cast<unsigned long long>(seh.memo_hits), rep.cache_hit ? "hit" : "miss");
+
+  printf("[1] static extraction over %zu DLL images...\n", seh.modules.size());
+  printf("    %zu C-specific handlers, %zu unique filter functions\n\n", seh.handlers,
+         seh.unique_filters);
 
   printf("[2] symbolic execution of every filter...\n");
-  pipeline::ClassifyOutcome cls = campaign.classify(corpus);
-  // stderr only: stdout must be bit-identical across CRP_JOBS values.
-  fprintf(stderr,
-          "[exec] extract %.1f ms, classify %.1f ms (jobs=%d, memo hits=%llu, cache %s)\n",
-          t1 - t0, wall_ms() - t1, exec::resolve_jobs(),
-          static_cast<unsigned long long>(cls.memo_hits),
-          cls.cache_hit ? "hit" : "miss");
-  size_t av_filters = 0, av_handlers = 0, manual = 0;
-  for (const auto& f : cls.filters) {
-    if (f.offset == isa::kFilterCatchAll) continue;
-    if (f.verdict == analysis::FilterVerdict::kAcceptsAv) {
-      ++av_filters;
-      av_handlers += f.handlers_using;
-    }
-    if (f.verdict == analysis::FilterVerdict::kNeedsManual) ++manual;
-  }
+  printf("    %zu AV-capable filters (+%zu needing manual review),\n", seh.av_filters,
+         seh.manual_filters);
   // Catch-all handlers are AV-capable by construction.
-  size_t catch_all_handlers = 0;
-  for (const auto& h : corpus.ex.handlers()) catch_all_handlers += h.catch_all ? 1 : 0;
-  printf("    %zu AV-capable filters (+%zu needing manual review),\n", av_filters, manual);
-  printf("    used by %zu handlers (+%zu catch-all handlers)\n\n", av_handlers,
-         catch_all_handlers);
+  printf("    used by %zu handlers (+%zu catch-all handlers)\n\n", seh.av_filter_handlers,
+         seh.catch_all_handlers);
 
   printf("[3] browsing workload + coverage cross-reference...\n");
-  browser.crawl();
-  for (u64 site = 0; site < 500; ++site) browser.visit_page(site);
-  browser.pump(2'500'000'000);
-  auto stats = campaign.xref(corpus, cls, &tracer, &browser.proc());
-  size_t on_path = 0;
+  size_t on_path = 0, av_capable_sites = 0;
   u64 events = 0;
-  size_t handlers_total = 0, av_capable_sites = 0;
-  for (const auto& s : stats) {
+  for (const auto& s : seh.modules) {
     on_path += s.guarded_on_path;
     events += s.trigger_events;
-    handlers_total += s.guarded_total;
     av_capable_sites += s.guarded_av_capable;
   }
 
   printf("\nFunnel (measured vs paper):\n");
-  printf("  DLLs analyzed:                 %4zu   (paper: 187)\n", browser.dlls().size());
-  printf("  C-specific handlers:           %4zu   (paper: 6745)\n", handlers_total);
-  printf("  unique filter functions:       %4zu   (paper: 5751)\n",
-         corpus.ex.unique_filters().size());
-  printf("  AV-capable filters after SB:   %4zu   (paper: 808)\n", av_filters);
+  printf("  DLLs analyzed:                 %4zu   (paper: 187)\n", seh.modules.size());
+  printf("  C-specific handlers:           %4zu   (paper: 6745)\n", seh.handlers);
+  printf("  unique filter functions:       %4zu   (paper: 5751)\n", seh.unique_filters);
+  printf("  AV-capable filters after SB:   %4zu   (paper: 808)\n", seh.av_filters);
   printf("  handlers using them:           %4zu   (paper: 1797, incl. catch-all)\n",
-         av_handlers + catch_all_handlers);
+         seh.av_filter_handlers + seh.catch_all_handlers);
   printf("  AV-capable guarded locations:  %4zu\n", av_capable_sites);
   printf("  executed guarded code parts:   %4zu   (paper: 385)\n", on_path);
   printf("  trigger events on path:     %7llu   (paper: 736512)\n",
@@ -107,10 +80,9 @@ int main() {
   // §VII-B static refinement: which AV-capable guards protect an actual
   // dereference (attack candidates) vs. gratuitously broad filters
   // (defender's narrowing worklist).
-  analysis::GuardAuditSummary audit = analysis::audit_guards(corpus.ex, cls.filters);
   printf("\nGuard audit (CFG-based, §VII-B):\n");
-  printf("  deref-guard candidates:        %4zu\n", audit.deref_guards);
-  printf("  gratuitously broad filters:    %4zu\n", audit.gratuitous);
-  printf("  properly narrow guards:        %4zu\n", audit.narrow);
+  printf("  deref-guard candidates:        %4zu\n", rep.browse.deref_guards);
+  printf("  gratuitously broad filters:    %4zu\n", rep.browse.gratuitous_guards);
+  printf("  properly narrow guards:        %4zu\n", rep.browse.narrow_guards);
   return 0;
 }

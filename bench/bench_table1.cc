@@ -2,12 +2,13 @@
 // simulacra (Nginx, Cherokee, Lighttpd, Memcached, PostgreSQL).
 //
 // Thin driver over the pipeline layer: the subjects come from the
-// TargetRegistry, the funnel (taint trace -> candidate selection -> verify)
-// runs inside pipeline::Campaign, and repeated runs are answered from the
+// TargetRegistry, and the five server cells (taint trace -> candidate
+// selection -> verify) run as one Campaign::run_all batch — the same cells
+// crpd and crpbench run. Repeated runs are answered from the
 // content-addressed ArtifactStore (set CRP_CACHE_DIR for cross-process
 // warmth, CRP_CACHE=0 to bypass). Progress lines are printed *after* the
-// scans from the merged results, so stdout is byte-identical for any job
-// count and any cache state.
+// batch from its reports, so stdout is byte-identical for any job count
+// and any cache state.
 //
 // Paper ground truth (§V-A):
 //   usable (+): recv@nginx, epoll_wait@cherokee, read@lighttpd,
@@ -30,15 +31,17 @@ int main() {
   printf("=================================================================\n\n");
 
   pipeline::TargetRegistry reg = pipeline::TargetRegistry::builtin();
-  pipeline::Campaign campaign;
-  std::vector<pipeline::ServerScan> scans =
-      campaign.scan_targets(reg.of_class(pipeline::TargetClass::kLinuxServer));
+  pipeline::TargetRegistry servers;
+  for (const pipeline::TargetSpec* s : reg.of_class(pipeline::TargetClass::kLinuxServer))
+    servers.add(*s);
+  std::vector<pipeline::TargetReport> reps = pipeline::Campaign().run_all(servers);
 
   std::map<std::string, analysis::SyscallScanResult> results;
   std::vector<std::string> names;
   int usable = 0, fps = 0;
 
-  for (pipeline::ServerScan& scan : scans) {
+  for (pipeline::TargetReport& rep : reps) {
+    pipeline::ServerScan& scan = rep.server;
     printf("scanning %-14s ...", scan.name.c_str());
     int u = 0, f = 0;
     for (const auto& c : scan.result.candidates) {

@@ -3,9 +3,9 @@
 // execution (AV-capable), and on the browsing execution path.
 //
 // Thin driver over the pipeline layer: the browser subject comes from the
-// TargetRegistry, and the SEH funnel (static extraction -> filter
-// classification -> coverage cross-reference) runs through the Campaign
-// stages; classification is answered from the content-addressed
+// TargetRegistry and runs through its cell via Campaign::run_target
+// (traced browse -> static extraction -> filter classification -> coverage
+// cross-reference); classification is answered from the content-addressed
 // ArtifactStore when an identical corpus was classified before. Everything
 // printed is *measured*: scope tables parsed from serialized images,
 // filters decided by symbolic execution + SAT, on-path counts by tracing a
@@ -21,7 +21,6 @@
 #include "exec/thread_pool.h"
 #include "obs/bench_support.h"
 #include "pipeline/campaign.h"
-#include "trace/tracer.h"
 
 namespace {
 double wall_ms() {
@@ -41,42 +40,22 @@ int main() {
   pipeline::TargetRegistry reg = pipeline::TargetRegistry::builtin();
   const pipeline::TargetSpec* spec = reg.find("browser/iexplore_sim");
   CRP_CHECK(spec != nullptr);
-  pipeline::Campaign campaign;
-
-  os::Kernel kernel;
-  targets::BrowserSim browser(kernel, pipeline::browser_options(*spec));
-  trace::Tracer tracer(kernel, browser.proc());
-
-  printf("browsing the top-500 workload (crawl + %d page visits)...\n", 500);
-  browser.crawl();
-  for (u64 site = 0; site < 500; ++site) browser.visit_page(site);
-  browser.pump(1'500'000'000);
-  printf("done: %zu unique pcs executed, %zu commands left\n\n", tracer.unique_pcs(),
-         browser.pending_commands());
-
+  double t0 = wall_ms();
+  pipeline::TargetReport rep = pipeline::Campaign().run_target(*spec);
   // Timings and job counts go to stderr: stdout must stay bit-identical
   // across CRP_JOBS values (the determinism contract in DESIGN.md).
-  int jobs = exec::resolve_jobs();
-  fprintf(stderr, "[exec] jobs=%d\n", jobs);
+  fprintf(stderr, "[exec] run_target %.1f ms (jobs=%d, cache %s)\n", wall_ms() - t0,
+          exec::resolve_jobs(), rep.cache_hit ? "hit" : "miss");
 
-  // Static pass parses the *serialized* images — the "given a binary" path.
-  std::vector<std::vector<u8>> blobs = pipeline::Campaign::image_blobs(browser.dlls());
-  double t0 = wall_ms();
-  pipeline::SehCorpus corpus = campaign.extract(blobs);
-  double t1 = wall_ms();
+  printf("browsing the top-500 workload (crawl + %d page visits)...\n", 500);
+  printf("done: %zu unique pcs executed, %zu commands left\n\n", rep.browse.unique_pcs,
+         rep.browse.pending_commands);
   printf("static extraction: %zu handlers, %zu unique filter functions\n",
-         corpus.ex.handlers().size(), corpus.ex.unique_filters().size());
-
-  pipeline::ClassifyOutcome cls = campaign.classify(corpus);
-  double t2 = wall_ms();
-  fprintf(stderr, "[exec] extract %.1f ms, classify %.1f ms (jobs=%d, cache %s)\n",
-          t1 - t0, t2 - t1, jobs, cls.cache_hit ? "hit" : "miss");
+         rep.seh.handlers, rep.seh.unique_filters);
   printf("symbolic execution: %llu filters executed, %llu SAT queries\n\n",
-         static_cast<unsigned long long>(cls.filters_executed),
-         static_cast<unsigned long long>(cls.sat_queries));
-
-  auto stats = campaign.xref(corpus, cls, &tracer, &browser.proc());
-  printf("%s\n", pipeline::ReportStage::table2(stats).c_str());
+         static_cast<unsigned long long>(rep.seh.filters_executed),
+         static_cast<unsigned long long>(rep.seh.sat_queries));
+  printf("%s\n", pipeline::ReportStage::table2(rep.seh.modules).c_str());
 
   printf("Paper Table II: user32 70/63/40, kernel32 76/66/14, msvcrt 129/10/3,\n");
   printf("jscript9 22/6/4, rpcrt4 62/20/6, sechost 133/11/0, ws2_32 82/29/10,\n");

@@ -2,10 +2,10 @@
 // and after symbolic execution, for both the 64-bit and 32-bit populations.
 //
 // Thin driver over the pipeline layer: both corpora come from the
-// TargetRegistry (corpus/dll_x64, corpus/dll_x32), are analyzed purely
-// statically through the Campaign's extract -> classify -> xref stages, and
-// repeated classifications of an identical corpus are answered from the
-// content-addressed ArtifactStore.
+// TargetRegistry (corpus/dll_x64, corpus/dll_x32) and run through their
+// cells via Campaign::run_target, purely statically (extract -> classify ->
+// xref); repeated classifications of an identical corpus are answered from
+// the content-addressed ArtifactStore.
 //
 // Paper Table III highlights: "only 4 of 126 filter functions remain in
 // sechost.dll, while 9 of 129 are left in msvcrt.dll"; system-wide, symbolic
@@ -26,20 +26,20 @@ double wall_ms() {
       .count();
 }
 
-std::vector<crp::analysis::ModuleSehStats> analyze(
-    crp::pipeline::Campaign& campaign, const crp::pipeline::TargetSpec& spec) {
+crp::pipeline::SehFunnel analyze(const crp::pipeline::TargetRegistry& reg,
+                                 const char* id) {
   using namespace crp;
-  std::vector<std::vector<u8>> blobs = pipeline::Campaign::dll_blobs(spec);
+  const pipeline::TargetSpec* spec = reg.find(id);
+  CRP_CHECK(spec != nullptr);
   double t0 = wall_ms();
-  pipeline::SehCorpus corpus = campaign.extract(blobs);
-  pipeline::ClassifyOutcome cls = campaign.classify(corpus);
+  pipeline::TargetReport rep = pipeline::Campaign().run_target(*spec);
   // stderr only: stdout must be bit-identical across CRP_JOBS values.
-  fprintf(stderr, "[exec] extract+classify %.1f ms (jobs=%d, cache %s)\n",
-          wall_ms() - t0, exec::resolve_jobs(), cls.cache_hit ? "hit" : "miss");
+  fprintf(stderr, "[exec] run_target %.1f ms (jobs=%d, cache %s)\n", wall_ms() - t0,
+          exec::resolve_jobs(), rep.cache_hit ? "hit" : "miss");
   printf("  machine population: %zu handlers, %zu filters, %llu SAT queries\n",
-         corpus.ex.handlers().size(), corpus.ex.unique_filters().size(),
-         static_cast<unsigned long long>(cls.sat_queries));
-  return campaign.xref(corpus, cls, nullptr, nullptr);
+         rep.seh.handlers, rep.seh.unique_filters,
+         static_cast<unsigned long long>(rep.seh.sat_queries));
+  return std::move(rep.seh);
 }
 
 }  // namespace
@@ -52,16 +52,11 @@ int main() {
   printf("============================================================================\n\n");
 
   pipeline::TargetRegistry reg = pipeline::TargetRegistry::builtin();
-  const pipeline::TargetSpec* x64_spec = reg.find("corpus/dll_x64");
-  const pipeline::TargetSpec* x32_spec = reg.find("corpus/dll_x32");
-  CRP_CHECK(x64_spec != nullptr && x32_spec != nullptr);
-  pipeline::Campaign campaign;
-
   printf("x64 population:\n");
-  auto x64 = analyze(campaign, *x64_spec);
+  pipeline::SehFunnel x64 = analyze(reg, "corpus/dll_x64");
   printf("x32 population:\n");
-  auto x32 = analyze(campaign, *x32_spec);
-  printf("\n%s\n", pipeline::ReportStage::table3(x64, x32).c_str());
+  pipeline::SehFunnel x32 = analyze(reg, "corpus/dll_x32");
+  printf("\n%s\n", pipeline::ReportStage::table3(x64.modules, x32.modules).c_str());
 
   printf("Paper anchors: sechost 126 -> 4, msvcrt 129 -> 9; symbolic execution\n");
   printf("\"significantly reduces the set of exception filters\" — the after/before\n");

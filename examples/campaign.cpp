@@ -5,9 +5,12 @@
 //   linux-server     taint trace -> syscall candidates -> verify
 //   managed-runtime  run -> signal-handler scan (ucontext-editing SIGSEGV)
 //   browser          browse under trace -> SEH extract -> classify -> xref
-//                    (+ VEH harvest for runtime-registered handlers)
-//   dll-corpus       SEH extract -> classify (static only)
+//                    (+ VEH harvest and the §VII-B guard audit)
+//   dll-corpus       SEH extract -> classify -> xref (static only)
 //   api-corpus       invalid-pointer fuzz -> traced call-site reduction
+//
+// Each target's block is pipeline::render_report — the bytes the crpd FETCH
+// verb serves for the same target (CI byte-diffs the two).
 //
 // Build & run:  ./build/examples/campaign
 // Repeated runs with CRP_CACHE_DIR set are answered from the
@@ -44,23 +47,9 @@ int main() {
 
   int total_primitives = 0;
   for (const pipeline::TargetSpec& spec : reg.all()) {
-    printf("--- %-24s [%s]\n", spec.id.c_str(),
-           pipeline::target_class_name(spec.cls));
     pipeline::TargetReport rep = campaign.run_target(spec);
-    printf("    %s%s\n", rep.summary.c_str(), rep.cache_hit ? " [cached]" : "");
-    for (const analysis::Candidate& c : rep.candidates) {
-      if (c.verdict == analysis::Verdict::kUsable ||
-          c.cls != analysis::PrimitiveClass::kSyscall)
-        printf("    * %s\n", c.describe().c_str());
-    }
-    if (rep.has_plan) {
-      printf("    plan: %s%s%s\n", plan::surface_name(rep.exploit_plan.surface),
-             rep.exploit_plan.symex_confirmed ? " [symex]" : "",
-             rep.plan_cache_hit ? " [cached]" : "");
-      printf("    replay: %s\n", rep.plan_replay.summary().c_str());
-    }
+    fputs(pipeline::render_report(rep).c_str(), stdout);
     total_primitives += rep.usable;
-    printf("\n");
   }
 
   const pipeline::ArtifactStore& store = pipeline::ArtifactStore::global();

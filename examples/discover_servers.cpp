@@ -3,9 +3,10 @@
 // narration — the expanded version of what bench_table1 prints.
 //
 // Thin driver over the pipeline layer: subjects come from the
-// TargetRegistry, each scan runs through the Campaign's staged funnel, and
-// the trailing metrics dump now includes the `pipeline.stage.*` and
-// `pipeline.cache.*` series the campaign publishes.
+// TargetRegistry, the five server cells run as one Campaign::run_all batch
+// (the same path as bench_table1), and the trailing metrics dump includes
+// the `pipeline.stage.*`, `pipeline.cache.*` and job-engine series the
+// batch publishes.
 //
 // Build & run:  ./build/examples/discover_servers
 
@@ -19,14 +20,15 @@ int main() {
   using namespace crp;
 
   pipeline::TargetRegistry reg = pipeline::TargetRegistry::builtin();
-  pipeline::Campaign campaign;
+  pipeline::TargetRegistry servers;
+  for (const pipeline::TargetSpec* s : reg.of_class(pipeline::TargetClass::kLinuxServer))
+    servers.add(*s);
 
   std::map<std::string, analysis::SyscallScanResult> results;
   std::vector<std::string> names;
 
-  for (const pipeline::TargetSpec* spec :
-       reg.of_class(pipeline::TargetClass::kLinuxServer)) {
-    pipeline::ServerScan scan = campaign.scan_target(*spec);
+  for (pipeline::TargetReport& rep : pipeline::Campaign().run_all(servers)) {
+    pipeline::ServerScan& scan = rep.server;
     printf("=== %s ===\n", scan.name.c_str());
     printf("  observed %zu EFAULT-capable syscalls on the workload path\n",
            scan.result.observed.size());

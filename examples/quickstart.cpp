@@ -1,13 +1,13 @@
 // Quickstart: discover crash-resistant primitives in one target.
 //
 // Pipeline shown end-to-end on nginx_sim, as the staged campaign engine
-// runs it (the same code path every bench uses):
+// runs it (the same server cell bench_table1, crpd and crpbench run):
 //   1. pick the subject from the TargetRegistry,
 //   2. TaintTraceStage — run its test-suite workload under byte-granular
 //      taint tracking,
 //   3. SyscallCandidateStage + VerifyStage — corrupt every candidate
 //      pointer and watch both the process and the *service*,
-//   4. print the verdicts.
+//   4. print the verdicts from the report's typed ServerScan.
 //
 // Build & run:  ./build/examples/quickstart
 // (CRP_CACHE_DIR=<dir> makes a second run warm; CRP_CACHE=0 disables.)
@@ -26,15 +26,12 @@ int main() {
   pipeline::TargetRegistry reg = pipeline::TargetRegistry::builtin();
   const pipeline::TargetSpec* spec = reg.find("server/nginx_sim");
   CRP_CHECK(spec != nullptr);
-  analysis::TargetProgram target = spec->make_program();
-  printf("Target: %s (Linux personality, port %u)\n\n", target.name.c_str(),
+  pipeline::TargetReport rep = pipeline::Campaign().run_target(*spec);
+  const analysis::SyscallScanResult& result = rep.server.result;
+  printf("Target: %s (Linux personality, port %u)\n\n", rep.server.name.c_str(),
          targets::kNginxPort);
 
-  pipeline::Campaign campaign;
-
   printf("[1/2] discovery: running the test suite under taint tracking...\n");
-  pipeline::ServerScan scan = campaign.scan_program(target);
-  const analysis::SyscallScanResult& result = scan.result;
   printf("      %llu syscalls traced, %zu EFAULT-capable syscalls observed,\n",
          static_cast<unsigned long long>(result.syscalls_traced), result.observed.size());
   printf("      %zu pointer-argument candidates recorded\n\n", result.candidates.size());
@@ -44,10 +41,7 @@ int main() {
 
   printf("%s\n", pipeline::ReportStage::candidates(result.candidates).c_str());
 
-  int usable = 0;
-  for (const auto& c : result.candidates)
-    usable += c.verdict == analysis::Verdict::kUsable ? 1 : 0;
-  printf("==> %d usable crash-resistant primitive(s) found.\n", usable);
+  printf("==> %d usable crash-resistant primitive(s) found.\n", rep.usable);
   printf("    An attacker can probe this server's address space with ZERO crashes.\n");
-  return usable > 0 ? 0 : 1;
+  return rep.usable > 0 ? 0 : 1;
 }

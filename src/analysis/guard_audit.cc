@@ -1,5 +1,8 @@
 #include "analysis/guard_audit.h"
 
+#include <optional>
+#include <string_view>
+
 namespace crp::analysis {
 
 const char* guard_kind_name(GuardKind k) {
@@ -25,30 +28,34 @@ GuardAuditSummary audit_guards(const SehExtractor& ex,
                                const std::vector<FilterInfo>& filters) {
   GuardAuditSummary out;
 
-  auto accepts = [&](const HandlerSite& h) {
-    if (h.catch_all) return true;
-    for (const auto& f : filters)
-      if (f.module == h.module && f.offset == h.scope.filter)
-        return f.verdict == FilterVerdict::kAcceptsAv;
-    return false;
-  };
+  FilterIndex index(filters);
 
-  std::map<std::string, cfg::Cfg> cfgs;
-  for (const auto& img : ex.images()) cfgs.emplace(img->name, cfg::Cfg::build_all(*img));
+  std::map<std::string_view, const isa::Image*> images;  // first of a name wins
+  for (const auto& img : ex.images()) images.emplace(img->name, img.get());
 
+  // Handlers sit in image order: building a module's CFG when its first
+  // handler comes up keeps one CFG alive at a time, not one per image.
+  const isa::Image* cfg_image = nullptr;
+  std::optional<cfg::Cfg> cfg;
   for (const auto& h : ex.handlers()) {
+    auto it = images.find(h.module);
+    const isa::Image* image = it != images.end() ? it->second : nullptr;
+    if (image != cfg_image) {
+      cfg_image = image;
+      cfg.reset();
+      if (image != nullptr) cfg = cfg::Cfg::build_all(*image);
+    }
     GuardAuditEntry entry;
     entry.site = h;
-    auto it = cfgs.find(h.module);
-    if (it != cfgs.end()) {
-      auto instrs = it->second.instructions_in(h.scope.begin, h.scope.end);
+    if (cfg.has_value()) {
+      auto instrs = cfg->instructions_in(h.scope.begin, h.scope.end);
       entry.region_instrs = instrs.size();
       for (const auto& [off, ins] : instrs) {
         if (ins.op == isa::Op::kLoad) ++entry.region_loads;
         if (ins.op == isa::Op::kStore) ++entry.region_stores;
       }
     }
-    if (!accepts(h)) {
+    if (!index.accepts(h)) {
       entry.kind = GuardKind::kNarrow;
       ++out.narrow;
     } else if (entry.region_loads + entry.region_stores > 0) {

@@ -49,7 +49,7 @@ struct GuardAuditSummary {
 };
 
 /// Audit every handler of `ex` using `filters` verdicts; one CFG is built
-/// per image (roots: exports + scope members).
+/// per image (roots: exports + scope members), one image at a time.
 GuardAuditSummary audit_guards(const SehExtractor& ex,
                                const std::vector<FilterInfo>& filters);
 

@@ -298,18 +298,16 @@ std::vector<FilterInfo> FilterClassifier::classify_all(const SehExtractor& ex, i
   return out;
 }
 
-namespace {
-
-bool filter_accepts(const std::vector<FilterInfo>& filters, const std::string& module,
-                    u64 filter_off, bool catch_all) {
-  if (catch_all) return true;
+FilterIndex::FilterIndex(const std::vector<FilterInfo>& filters) {
   for (const auto& f : filters)
-    if (f.module == module && f.offset == filter_off)
-      return f.verdict == FilterVerdict::kAcceptsAv;
-  return false;
+    verdicts_.emplace(std::pair{std::string_view(f.module), f.offset}, f.verdict);
 }
 
-}  // namespace
+bool FilterIndex::accepts(const HandlerSite& h) const {
+  if (h.catch_all) return true;
+  auto it = verdicts_.find({h.module, h.scope.filter});
+  return it != verdicts_.end() && it->second == FilterVerdict::kAcceptsAv;
+}
 
 std::vector<ModuleSehStats> CoverageXref::compute(const SehExtractor& ex,
                                                   const std::vector<FilterInfo>& filters,
@@ -322,11 +320,11 @@ std::vector<ModuleSehStats> CoverageXref::compute(const SehExtractor& ex,
     s.machine = img->machine;
   }
 
+  FilterIndex index(filters);
   for (const auto& h : ex.handlers()) {
     ModuleSehStats& s = stats[h.module];
     ++s.guarded_total;
-    bool av = filter_accepts(filters, h.module, h.scope.filter, h.catch_all);
-    if (!av) continue;
+    if (!index.accepts(h)) continue;
     ++s.guarded_av_capable;
     if (tracer != nullptr && proc != nullptr) {
       const vm::LoadedModule* mod = proc->machine().module_named(h.module);
@@ -359,8 +357,9 @@ std::vector<Candidate> CoverageXref::candidates(const SehExtractor& ex,
                                                 const os::Process* proc,
                                                 const std::string& target_name) {
   std::vector<Candidate> out;
+  FilterIndex index(filters);
   for (const auto& h : ex.handlers()) {
-    if (!filter_accepts(filters, h.module, h.scope.filter, h.catch_all)) continue;
+    if (!index.accepts(h)) continue;
     bool on_path = false;
     if (tracer != nullptr && proc != nullptr) {
       const vm::LoadedModule* mod = proc->machine().module_named(h.module);

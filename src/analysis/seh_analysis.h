@@ -17,6 +17,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -152,6 +153,19 @@ struct ModuleSehStats {
   // Table III: unique filter functions.
   size_t filters_total = 0;
   size_t filters_av_capable = 0;
+};
+
+/// Filter verdicts indexed by (module, filter offset): the per-handler
+/// lookup CoverageXref and the guard audit share. Views into `filters`,
+/// which must outlive the index; the first row of a duplicated key wins.
+class FilterIndex {
+ public:
+  explicit FilterIndex(const std::vector<FilterInfo>& filters);
+  /// True when `h` is a catch-all or its filter is classified AV-accepting.
+  bool accepts(const HandlerSite& h) const;
+
+ private:
+  std::map<std::pair<std::string_view, u64>, FilterVerdict> verdicts_;
 };
 
 class CoverageXref {

@@ -49,9 +49,10 @@ class SyscallScanner {
   SyscallScanResult discover();
 
   /// Phase 2 for one candidate (fresh kernel instance per run).
-  /// (Whole-target discover+verify funnels live in pipeline::Campaign —
-  /// there is deliberately no run_full() here so every driver goes through
-  /// the staged pipeline and its caching/observability.)
+  /// (The whole-target discover+verify funnel is pipeline's server cell,
+  /// run through Campaign::run_target / run_all — there is deliberately no
+  /// run_full() here so every bench and example goes through the staged
+  /// pipeline and its caching/observability.)
   void verify(Candidate& cand);
 
  private:

@@ -18,8 +18,8 @@
 // the tallies are exact regardless, so the zero-crash audit and the counter
 // cross-check never degrade with ring pressure.
 //
-// Compiled out (-DCRP_OBS_DISABLED) or runtime-disabled recording turns
-// record() into a no-op, like every other obs mutation.
+// Runtime-disabled recording turns record() into a no-op, like every other
+// obs mutation.
 #pragma once
 
 #include <array>

@@ -19,9 +19,8 @@
 //                (the Kernel's virtual ns clock, typically).
 //
 // Cost model: a Counter::inc is one relaxed fetch_add plus one relaxed
-// flag load; compile with -DCRP_OBS_DISABLED (CMake option CRP_OBS_DISABLED)
-// to turn every mutation into a no-op, or call set_runtime_enabled(false)
-// to drop recording at runtime without rebuilding.
+// flag load; call set_runtime_enabled(false) to drop recording at runtime
+// (bench_micro's BM_StepObsOn/Off pair measures the difference).
 #pragma once
 
 #include <atomic>
@@ -37,12 +36,6 @@
 
 namespace crp::obs {
 
-#if defined(CRP_OBS_DISABLED)
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
-
 /// Runtime kill switch (default on). Checked with a relaxed load on every
 /// mutation; lets one binary measure instrumented vs. uninstrumented cost.
 void set_runtime_enabled(bool on);
@@ -51,7 +44,6 @@ bool runtime_enabled();
 namespace detail {
 extern std::atomic<bool> g_runtime_enabled;
 inline bool recording() {
-  if constexpr (!kCompiledIn) return false;
   return g_runtime_enabled.load(std::memory_order_relaxed);
 }
 }  // namespace detail

@@ -1,11 +1,9 @@
 #include "pipeline/campaign.h"
 
-#include <optional>
 #include <stdexcept>
 
+#include "analysis/guard_audit.h"
 #include "analysis/signal_scanner.h"
-#include "analysis/veh_scanner.h"
-#include "exec/thread_pool.h"
 #include "obs/obs.h"
 #include "obs/prof.h"
 #include "pipeline/job_queue.h"
@@ -67,183 +65,33 @@ ArtifactKey syscall_scan_key_for(const analysis::TargetProgram& prog,
   return ArtifactKey{TaintTraceStage::kId, in.digest(), cfg};
 }
 
-// The Linux-syscall funnel (TaintTrace -> SyscallCandidate -> Verify) as
-// explicit stepped state, shared by the blocking scan_program path and the
-// ServerCell job steps so the two cannot drift apart. Holds the store's
-// single-writer lease between the lookup and the publish — concurrent
-// scans of an identical target compute once, the rest are handed the
-// finished artifact. The destructor releases an abandoned lease (a step
-// threw, or the job was cancelled between steps).
-struct SyscallFunnel {
-  const CampaignOptions& opts;
-  ArtifactStore* st;  // nullptr: caching off
-  int verify_jobs;
-  const analysis::TargetProgram* prog = nullptr;
-  ArtifactKey key;
-  bool leased = false;
-  bool parked = false;  // lease released by park(); re-acquire on resume()
-  std::vector<analysis::Candidate> cands;
-  ServerScan scan;
-
-  SyscallFunnel(const CampaignOptions& o, ArtifactStore* s, int vj)
-      : opts(o), st(s), verify_jobs(vj) {}
-  ~SyscallFunnel() {
-    if (leased && st != nullptr) st->abort_claim(key);
-  }
-
-  void trace() {
-    scan.name = prog->name;
-    if (st != nullptr) {
-      key = syscall_scan_key_for(*prog, opts);
-      std::string doc;
-      Acquire a = st->acquire(key, &doc);
-      if (a == Acquire::kHit && decode_syscall_scan(doc, &scan.result)) {
-        scan.cache_hit = true;
-        return;
-      }
-      // A hit that fails to decode recomputes without the lease; the
-      // publish below replaces the stored blob.
-      leased = a == Acquire::kOwner;
+/// The SEH-funnel tallies the SEH benches print, from the extracted
+/// corpus and its classification.
+SehFunnel seh_funnel(const SehCorpus& corpus, const ClassifyOutcome& cls,
+                     std::vector<analysis::ModuleSehStats> modules) {
+  SehFunnel f;
+  f.modules = std::move(modules);
+  f.handlers = corpus.ex.handlers().size();
+  f.unique_filters = corpus.ex.unique_filters().size();
+  for (const auto& h : corpus.ex.handlers()) f.catch_all_handlers += h.catch_all ? 1 : 0;
+  for (const auto& fi : cls.filters) {
+    if (fi.offset == isa::kFilterCatchAll) continue;
+    if (fi.verdict == analysis::FilterVerdict::kAcceptsAv) {
+      ++f.av_filters;
+      f.av_filter_handlers += fi.handlers_using;
     }
-    scan.result = TaintTraceStage::run({prog, opts.syscall});
+    if (fi.verdict == analysis::FilterVerdict::kNeedsManual) ++f.manual_filters;
   }
-
-  // Park/resume protocol (JobQueue preemption): a parked job may wait in
-  // the queue indefinitely while other jobs for the same key block inside
-  // acquire() — so the lease is released on park and re-taken on the next
-  // step. If another job published the artifact in between, resume turns
-  // into a cache hit and the remaining compute steps are skipped.
-  void park() {
-    if (leased && st != nullptr) {
-      st->abort_claim(key);
-      leased = false;
-      parked = true;
-    }
-  }
-
-  void resume() {
-    if (!parked) return;
-    parked = false;
-    std::string doc;
-    Acquire a = st->acquire(key, &doc);
-    if (a == Acquire::kHit && decode_syscall_scan(doc, &scan.result)) {
-      scan.cache_hit = true;
-      return;
-    }
-    leased = a == Acquire::kOwner;
-  }
-
-  void candidates() {
-    if (scan.cache_hit) return;
-    cands = SyscallCandidateStage::run({&scan.result});
-  }
-
-  void verify() {
-    if (scan.cache_hit) return;
-    scan.result.candidates =
-        VerifyStage::run({prog, opts.syscall, std::move(cands),
-                          verify_jobs != 0 ? verify_jobs : opts.jobs});
-    if (st != nullptr) {
-      std::string doc = encode_syscall_scan(scan.result);
-      if (leased) {
-        st->finish(key, doc);
-        leased = false;
-      } else {
-        st->store(key, doc);
-      }
-    }
-  }
-};
+  f.filters_executed = cls.filters_executed;
+  f.sat_queries = cls.sat_queries;
+  f.memo_hits = cls.memo_hits;
+  return f;
+}
 
 }  // namespace
 
 ArtifactKey Campaign::syscall_scan_key(const analysis::TargetProgram& prog) const {
   return syscall_scan_key_for(prog, opts_);
-}
-
-ServerScan Campaign::scan_program(const analysis::TargetProgram& prog,
-                                  int verify_jobs) {
-  obs::ScopedProfTarget prof_target(prog.name);
-  SyscallFunnel funnel(opts_, store(), verify_jobs);
-  funnel.prog = &prog;
-  funnel.trace();
-  funnel.candidates();
-  funnel.verify();
-  return std::move(funnel.scan);
-}
-
-ServerScan Campaign::scan_target(const TargetSpec& spec) {
-  CRP_CHECK(spec.make_program != nullptr);
-  analysis::TargetProgram prog = spec.make_program();
-  return scan_program(prog);
-}
-
-std::vector<ServerScan> Campaign::scan_targets(
-    const std::vector<const TargetSpec*>& specs) {
-  // Materialize programs up front (image generation is deterministic and
-  // cheap); then shard whole scans across the pool. Verification inside a
-  // sharded scan stays serial — nesting pools would oversubscribe without
-  // adding parallelism.
-  std::vector<analysis::TargetProgram> progs;
-  progs.reserve(specs.size());
-  for (const TargetSpec* s : specs) {
-    CRP_CHECK(s != nullptr && s->make_program != nullptr);
-    progs.push_back(s->make_program());
-  }
-  exec::ThreadPool pool(opts_.jobs);
-  return exec::parallel_map(
-      pool, progs,
-      [&](size_t, const analysis::TargetProgram& p) {
-        return scan_program(p, /*verify_jobs=*/1);
-      },
-      "scan_target");
-}
-
-SehCorpus Campaign::extract(const std::vector<std::vector<u8>>& blobs) {
-  return SehExtractStage::run({&blobs, opts_.jobs});
-}
-
-ClassifyOutcome Campaign::classify(const SehCorpus& corpus) {
-  return FilterClassifyStage::run({&corpus, opts_.classify, opts_.jobs, store()});
-}
-
-std::vector<analysis::ModuleSehStats> Campaign::xref(
-    const SehCorpus& corpus, const ClassifyOutcome& cls,
-    const trace::Tracer* tracer, const os::Process* proc) {
-  return CoverageXrefStage::run({&corpus.ex, &cls.filters, tracer, proc});
-}
-
-std::vector<std::vector<u8>> Campaign::dll_blobs(const TargetSpec& spec) {
-  CRP_CHECK(spec.dll_specs != nullptr);
-  std::vector<std::vector<u8>> blobs;
-  for (const targets::DllSpec& s : spec.dll_specs())
-    blobs.push_back(isa::write_image(*targets::generate_dll(s, spec.seed).image));
-  return blobs;
-}
-
-std::vector<std::vector<u8>> Campaign::image_blobs(
-    const std::vector<targets::GeneratedDll>& dlls) {
-  std::vector<std::vector<u8>> blobs;
-  blobs.reserve(dlls.size());
-  for (const auto& d : dlls) blobs.push_back(isa::write_image(*d.image));
-  return blobs;
-}
-
-void Campaign::materialize_api_corpus(const TargetSpec& spec, os::Kernel& kernel) {
-  kernel.winapi().generate_population(spec.api.seed, spec.api.total,
-                                      spec.api.ptr_fraction,
-                                      spec.api.resistant_fraction);
-}
-
-ApiFuzzStage::Out Campaign::fuzz_apis(os::Kernel& kernel) {
-  return ApiFuzzStage::run({&kernel, opts_.api_probes_per_arg, opts_.jobs, store()});
-}
-
-std::vector<analysis::ApiSiteInfo> Campaign::call_sites(
-    const trace::Tracer& tracer, const std::set<u32>& crash_resistant,
-    const os::Kernel& kernel, const os::Process& proc,
-    const std::string& needle) {
-  return CallSiteTraceStage::run({&tracer, &crash_resistant, &kernel, &proc, needle});
 }
 
 // --- target cells --------------------------------------------------------------
@@ -268,44 +116,89 @@ void TargetCell::run_step() {
 
 namespace {
 
+// The Linux-syscall funnel (TaintTrace -> SyscallCandidate -> Verify).
+// Holds the store's single-writer lease between the lookup and the
+// publish — concurrent scans of an identical target compute once, the rest
+// are handed the finished artifact. The destructor releases an abandoned
+// lease (a step threw, or the job was cancelled between steps).
 class ServerCell final : public TargetCell {
  public:
   ServerCell(const CampaignOptions& o, ArtifactStore* s, TargetSpec spec)
       : TargetCell(o, s, std::move(spec),
                    {"taint_trace", "candidates", "verify", "finalize"}) {}
+  ~ServerCell() override {
+    if (leased_) store_->abort_claim(key_);
+  }
 
+  // Park/resume protocol (JobQueue preemption): a parked job may wait in
+  // the queue indefinitely while other jobs for the same key block inside
+  // acquire() — so the lease is released on park and re-taken on the next
+  // step. If another job published the artifact in between, resume turns
+  // into a cache hit and the remaining compute steps are skipped.
   void on_park() override {
-    if (funnel_) funnel_->park();
+    if (!leased_) return;
+    store_->abort_claim(key_);
+    leased_ = false;
+    parked_ = true;
   }
 
  private:
+  /// Look the scan up, taking the lease on a miss; true on a hit. A hit
+  /// that fails to decode recomputes without the lease; the publish
+  /// replaces the stored blob.
+  bool claim() {
+    std::string doc;
+    Acquire a = store_->acquire(key_, &doc);
+    if (a == Acquire::kHit && decode_syscall_scan(doc, &scan_.result)) {
+      report_.cache_hit = true;
+      return true;
+    }
+    leased_ = a == Acquire::kOwner;
+    return false;
+  }
+
+  void resume() {
+    if (!parked_) return;
+    parked_ = false;
+    claim();
+  }
+
   void do_step(size_t i) override {
+    if (i == 0) {
+      CRP_CHECK(spec_.make_program != nullptr);
+      prog_ = spec_.make_program();
+      scan_.name = prog_.name;
+    }
+    obs::ScopedProfTarget prof(prog_.name);
     switch (i) {
-      case 0: {
-        CRP_CHECK(spec_.make_program != nullptr);
-        prog_ = spec_.make_program();
-        funnel_.emplace(opts_, store_, /*verify_jobs=*/0);
-        funnel_->prog = &prog_;
-        obs::ScopedProfTarget prof(prog_.name);
-        funnel_->trace();
+      case 0:
+        if (store_ != nullptr) {
+          key_ = syscall_scan_key_for(prog_, opts_);
+          if (claim()) break;
+        }
+        scan_.result = TaintTraceStage::run({&prog_, opts_.syscall});
         break;
-      }
-      case 1: {
-        obs::ScopedProfTarget prof(prog_.name);
-        funnel_->resume();
-        funnel_->candidates();
+      case 1:
+        resume();
+        if (!report_.cache_hit) cands_ = SyscallCandidateStage::run({&scan_.result});
         break;
-      }
       case 2: {
-        obs::ScopedProfTarget prof(prog_.name);
-        funnel_->resume();
-        funnel_->verify();
+        resume();
+        if (report_.cache_hit) break;
+        scan_.result.candidates =
+            VerifyStage::run({&prog_, opts_.syscall, std::move(cands_), opts_.jobs});
+        if (store_ == nullptr) break;
+        std::string doc = encode_syscall_scan(scan_.result);
+        if (leased_) {
+          store_->finish(key_, doc);
+          leased_ = false;
+        } else {
+          store_->store(key_, doc);
+        }
         break;
       }
       case 3: {
-        ServerScan& scan = funnel_->scan;
-        report_.candidates = scan.result.candidates;
-        report_.cache_hit = scan.cache_hit;
+        report_.candidates = scan_.result.candidates;
         int fps = 0;
         for (const auto& c : report_.candidates) {
           report_.usable += c.verdict == analysis::Verdict::kUsable ? 1 : 0;
@@ -313,16 +206,20 @@ class ServerCell final : public TargetCell {
         }
         report_.summary = strf(
             "%zu syscalls observed, %zu candidates, %d usable, %d false-positive",
-            scan.result.observed.size(), report_.candidates.size(),
+            scan_.result.observed.size(), report_.candidates.size(),
             report_.usable, fps);
-        funnel_.reset();
+        report_.server = std::move(scan_);
         break;
       }
     }
   }
 
   analysis::TargetProgram prog_;
-  std::optional<SyscallFunnel> funnel_;
+  ArtifactKey key_;
+  bool leased_ = false;
+  bool parked_ = false;  // lease released by on_park(); re-taken by resume()
+  std::vector<analysis::Candidate> cands_;
+  ServerScan scan_;
 };
 
 class RuntimeCell final : public TargetCell {
@@ -390,11 +287,14 @@ class BrowserCell final : public TargetCell {
         for (u64 site = 0; site < opts_.browse_pages; ++site)
           browser_->visit_page(site);
         browser_->pump(opts_.browse_budget);
+        report_.browse.unique_pcs = tracer_->unique_pcs();
+        report_.browse.pending_commands = browser_->pending_commands();
         break;
       }
       case 1: {
-        blobs_ = Campaign::image_blobs(browser_->dlls());
-        corpus_ = SehExtractStage::run({&blobs_, opts_.jobs});
+        std::vector<std::vector<u8>> blobs;
+        for (const auto& d : browser_->dlls()) blobs.push_back(isa::write_image(*d.image));
+        corpus_ = SehExtractStage::run({&blobs, opts_.jobs});
         break;
       }
       case 2: {
@@ -403,24 +303,37 @@ class BrowserCell final : public TargetCell {
         break;
       }
       case 3: {
-        std::vector<analysis::ModuleSehStats> stats = CoverageXrefStage::run(
-            {&corpus_.ex, &cls_.filters, tracer_.get(), &browser_->proc()});
+        report_.seh = seh_funnel(
+            corpus_, cls_,
+            CoverageXrefStage::run({&corpus_.ex, &cls_.filters, tracer_.get(),
+                                    &browser_->proc()}));
         report_.cache_hit = cls_.cache_hit;
         report_.candidates = analysis::CoverageXref::candidates(
             corpus_.ex, cls_.filters, tracer_.get(), &browser_->proc(),
             spec_.id);
         on_path_ = report_.candidates.size();
 
-        veh_ = analysis::VehScanner::scan(*tracer_, browser_->proc(),
-                                          opts_.classify);
-        for (const auto& h : veh_)
+        BrowseOutcome& b = report_.browse;
+        b.veh = analysis::VehScanner::scan(*tracer_, browser_->proc(),
+                                           opts_.classify);
+        for (const auto& h : b.veh)
           veh_usable_ +=
               h.verdict == analysis::FilterVerdict::kAcceptsAv ? 1 : 0;
         std::vector<analysis::Candidate> veh_cands =
-            analysis::VehScanner::candidates(veh_, spec_.id);
+            analysis::VehScanner::candidates(b.veh, spec_.id);
         report_.candidates.insert(report_.candidates.end(), veh_cands.begin(),
                                   veh_cands.end());
-        (void)stats;
+
+        // The traced guest is done: free it before the audit builds CFGs.
+        dlls_ = browser_->dlls().size();
+        tracer_.reset();
+        browser_.reset();
+        kernel_.reset();
+        analysis::GuardAuditSummary audit =
+            analysis::audit_guards(corpus_.ex, cls_.filters);
+        b.deref_guards = audit.deref_guards;
+        b.gratuitous_guards = audit.gratuitous;
+        b.narrow_guards = audit.narrow;
         break;
       }
       case 4: {
@@ -428,12 +341,8 @@ class BrowserCell final : public TargetCell {
         report_.summary = strf(
             "%zu DLLs, %zu handlers, %zu unique filters, %zu guarded sites on "
             "path, %zu VEH (%d recovering)",
-            browser_->dlls().size(), corpus_.ex.handlers().size(),
-            corpus_.ex.unique_filters().size(), on_path_, veh_.size(),
-            veh_usable_);
-        tracer_.reset();
-        browser_.reset();
-        kernel_.reset();
+            dlls_, report_.seh.handlers, report_.seh.unique_filters, on_path_,
+            report_.browse.veh.size(), veh_usable_);
         break;
       }
     }
@@ -442,10 +351,9 @@ class BrowserCell final : public TargetCell {
   std::unique_ptr<os::Kernel> kernel_;
   std::unique_ptr<targets::BrowserSim> browser_;
   std::unique_ptr<trace::Tracer> tracer_;
-  std::vector<std::vector<u8>> blobs_;
   SehCorpus corpus_;
   ClassifyOutcome cls_;
-  std::vector<analysis::VehHandlerInfo> veh_;
+  size_t dlls_ = 0;
   size_t on_path_ = 0;
   int veh_usable_ = 0;
 };
@@ -459,24 +367,27 @@ class DllCorpusCell final : public TargetCell {
  private:
   void do_step(size_t i) override {
     switch (i) {
-      case 0: blobs_ = Campaign::dll_blobs(spec_); break;
+      case 0:
+        CRP_CHECK(spec_.dll_specs != nullptr);
+        for (const targets::DllSpec& s : spec_.dll_specs())
+          blobs_.push_back(
+              isa::write_image(*targets::generate_dll(s, spec_.seed).image));
+        break;
       case 1: corpus_ = SehExtractStage::run({&blobs_, opts_.jobs}); break;
       case 2:
         cls_ = FilterClassifyStage::run(
             {&corpus_, opts_.classify, opts_.jobs, store_});
         break;
       case 3: {
-        size_t av = 0;
-        for (const auto& f : cls_.filters) {
-          if (f.offset == isa::kFilterCatchAll) continue;
-          av += f.verdict == analysis::FilterVerdict::kAcceptsAv ? 1 : 0;
-        }
+        report_.seh = seh_funnel(
+            corpus_, cls_,
+            CoverageXrefStage::run({&corpus_.ex, &cls_.filters, nullptr, nullptr}));
         report_.cache_hit = cls_.cache_hit;
-        report_.usable = static_cast<int>(av);
+        report_.usable = static_cast<int>(report_.seh.av_filters);
         report_.summary =
             strf("%zu DLLs, %zu unique filters, %zu AV-capable after SB",
-                 corpus_.ex.images().size(), corpus_.ex.unique_filters().size(),
-                 av);
+                 corpus_.ex.images().size(), report_.seh.unique_filters,
+                 report_.seh.av_filters);
         break;
       }
     }
@@ -495,10 +406,13 @@ class ApiCorpusCell final : public TargetCell {
 
  private:
   void do_step(size_t i) override {
+    ApiOutcome& api = report_.api;
     switch (i) {
       case 0: {
         kernel_ = std::make_unique<os::Kernel>();
-        Campaign::materialize_api_corpus(spec_, *kernel_);
+        kernel_->winapi().generate_population(spec_.api.seed, spec_.api.total,
+                                              spec_.api.ptr_fraction,
+                                              spec_.api.resistant_fraction);
         fuzz_ = ApiFuzzStage::run(
             {kernel_.get(), opts_.api_probes_per_arg, opts_.jobs, store_});
         break;
@@ -514,6 +428,7 @@ class ApiCorpusCell final : public TargetCell {
           if (id < os::kApiPopulationBase || !s.has_pointer_arg()) continue;
           if (rng.chance(0.0625)) stub_ids.push_back(id);
         }
+        api.stubs = stub_ids.size();
         targets::BrowserSim::Options bopts;
         bopts.kind = targets::BrowserSim::Kind::kIE;
         bopts.seed = 0xF0;
@@ -524,6 +439,7 @@ class ApiCorpusCell final : public TargetCell {
         browser_->crawl();
         for (u64 site = 0; site < 120; ++site) browser_->visit_page(site);
         browser_->pump(2'000'000'000);
+        api.api_calls = tracer_->api_calls().size();
         break;
       }
       case 2: {
@@ -531,25 +447,35 @@ class ApiCorpusCell final : public TargetCell {
                                           &fuzz_.result.crash_resistant,
                                           kernel_.get(), &browser_->proc(),
                                           "jscript9"});
+        std::set<u32> on_path, scripted, controllable;
         for (const auto& s : sites_) {
-          if (s.api_id < os::kApiPopulationBase) continue;
-          on_path_.insert(s.api_id);
+          if (s.api_id < os::kApiPopulationBase) continue;  // population only
+          on_path.insert(s.api_id);
+          if (s.script_triggerable) scripted.insert(s.api_id);
           if (s.exclusion == analysis::ExclusionReason::kNone)
-            controllable_.insert(s.api_id);
+            controllable.insert(s.api_id);
+          ++api.funnel.exclusion_histogram[analysis::exclusion_reason_name(s.exclusion)];
         }
+        api.funnel.total = fuzz_.result.total_apis;
+        api.funnel.with_pointer = fuzz_.result.with_pointer_args;
+        api.funnel.crash_resistant =
+            static_cast<u32>(fuzz_.result.crash_resistant.size());
+        api.funnel.on_execution_path = static_cast<u32>(on_path.size());
+        api.funnel.script_triggerable = static_cast<u32>(scripted.size());
+        api.funnel.controllable = static_cast<u32>(controllable.size());
+        api.probes_executed = fuzz_.result.probes_executed;
         break;
       }
       case 3: {
         report_.cache_hit = fuzz_.cache_hit;
         report_.candidates =
             analysis::ApiCallSiteTracer::candidates(sites_, spec_.id);
-        report_.usable = static_cast<int>(controllable_.size());
+        report_.usable = static_cast<int>(api.funnel.controllable);
         report_.summary = strf(
-            "%u APIs -> %u with pointer args -> %zu crash-resistant -> %zu on "
-            "path -> %zu controllable",
-            fuzz_.result.total_apis, fuzz_.result.with_pointer_args,
-            fuzz_.result.crash_resistant.size(), on_path_.size(),
-            controllable_.size());
+            "%u APIs -> %u with pointer args -> %u crash-resistant -> %u on "
+            "path -> %u controllable",
+            api.funnel.total, api.funnel.with_pointer, api.funnel.crash_resistant,
+            api.funnel.on_execution_path, api.funnel.controllable);
         tracer_.reset();
         browser_.reset();
         kernel_.reset();
@@ -563,7 +489,6 @@ class ApiCorpusCell final : public TargetCell {
   std::unique_ptr<trace::Tracer> tracer_;
   ApiFuzzStage::Out fuzz_;
   std::vector<analysis::ApiSiteInfo> sites_;
-  std::set<u32> on_path_, controllable_;
 };
 
 }  // namespace
@@ -584,10 +509,6 @@ std::unique_ptr<TargetCell> plan_target(const CampaignOptions& opts,
       return std::make_unique<ApiCorpusCell>(opts, store, spec);
   }
   CRP_PANIC("unknown target class");
-}
-
-std::unique_ptr<TargetCell> Campaign::plan(const TargetSpec& spec) const {
-  return plan_target(opts_, store(), spec);
 }
 
 TargetReport Campaign::run_target(const TargetSpec& spec) {

@@ -4,16 +4,21 @@
 // A Campaign owns the cross-cutting concerns every driver used to re-plumb
 // by hand: worker-count resolution (the exec pool), the content-addressed
 // ArtifactStore, and consistent stage options. Drivers stay declarative —
-// pick targets from the registry, call the funnel entry points, print.
+// pick targets from the registry, call run_target / run_all, render the
+// TargetReport.
 //
-// Funnel entry points compose the typed stages of stages.h:
-//   scan_program / scan_target(s)  TaintTrace -> SyscallCandidate -> Verify,
-//                                  whole-scan cached by target content
-//   extract / classify / xref      SehExtract -> FilterClassify (cached) ->
-//                                  CoverageXref
-//   fuzz_apis / call_sites         ApiFuzz (cached) -> CallSiteTrace
-//   run_target / run_all           the class-appropriate funnel end-to-end,
-//                                  one TargetReport per subject
+// Each target class has one funnel, a TargetCell composing the typed
+// stages of stages.h (one cell step per stage boundary):
+//   linux-server     TaintTrace -> SyscallCandidate -> Verify, whole scan
+//                    cached by target content
+//   managed-runtime  run -> signal-handler scan
+//   browser          traced browse -> SehExtract -> FilterClassify (cached)
+//                    -> CoverageXref + VEH harvest + guard audit
+//   dll-corpus       SehExtract -> FilterClassify (cached) -> CoverageXref
+//   api-corpus       ApiFuzz (cached) -> traced browse -> CallSiteTrace
+// The same cells serve run_target / run_all (an inline JobQueue), the crpd
+// daemon and crpbench; the report carries each class's typed results, so
+// every paper table renders from it.
 //
 // Determinism contract (inherited from crp::exec and the scanners): every
 // funnel number and rendered table is bit-identical for any job count and
@@ -25,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/veh_scanner.h"
 #include "pipeline/registry.h"
 #include "pipeline/stages.h"
 #include "plan/replay.h"
@@ -56,9 +62,42 @@ struct CampaignOptions {
 
 /// One Linux-syscall-funnel outcome (result.candidates are verified).
 struct ServerScan {
-  std::string name;
+  std::string name;  // program name (the Table I column)
   analysis::SyscallScanResult result;
-  bool cache_hit = false;
+};
+
+/// SEH-funnel outcome of a browser or DLL corpus: the Table II/III rows and
+/// the extractor/classifier counters the benches print.
+struct SehFunnel {
+  std::vector<analysis::ModuleSehStats> modules;  // one per DLL
+  size_t handlers = 0;
+  size_t unique_filters = 0;
+  size_t catch_all_handlers = 0;
+  size_t av_filters = 0;          // AV-capable after SB (catch-all rows excluded)
+  size_t manual_filters = 0;      // no clean verdict (§VII-A manual review)
+  size_t av_filter_handlers = 0;  // handlers using an AV-capable filter
+  u64 filters_executed = 0;
+  u64 sat_queries = 0;
+  u64 memo_hits = 0;
+};
+
+/// Browser-only outcome: the traced workload, runtime VEH registrations,
+/// and the §VII-B guard-audit tallies.
+struct BrowseOutcome {
+  std::vector<analysis::VehHandlerInfo> veh;
+  size_t unique_pcs = 0;
+  size_t pending_commands = 0;
+  size_t deref_guards = 0;
+  size_t gratuitous_guards = 0;
+  size_t narrow_guards = 0;
+};
+
+/// API-corpus outcome (§V-B).
+struct ApiOutcome {
+  analysis::ApiFunnel funnel;
+  u32 probes_executed = 0;
+  size_t stubs = 0;      // population APIs the browse workload calls
+  size_t api_calls = 0;  // API invocations traced during the browse
 };
 
 /// One whole-target funnel outcome (run_target / run_all).
@@ -73,6 +112,14 @@ struct TargetReport {
   /// One-line funnel summary for campaign reports.
   std::string summary;
   bool cache_hit = false;
+
+  /// Typed per-class results, summary-sized (the daemon retains up to
+  /// JobQueueOptions::retain_terminal reports): each is filled by its
+  /// class's cell and left empty for every other class.
+  ServerScan server;      // kLinuxServer
+  SehFunnel seh;          // kBrowser, kDllCorpus
+  BrowseOutcome browse;   // kBrowser
+  ApiOutcome api;         // kApiCorpus
 
   /// Exploit-plan epilogue (CampaignOptions::plan): the synthesized plan
   /// and its fresh-instance replay outcome.
@@ -174,51 +221,8 @@ class Campaign {
   /// `store` == nullptr uses ArtifactStore::global().
   explicit Campaign(CampaignOptions opts = {}, ArtifactStore* store = nullptr);
 
-  const CampaignOptions& options() const { return opts_; }
-  /// The store stage calls should use: nullptr when caching is off for this
-  /// campaign, so stages compute unconditionally.
-  ArtifactStore* store() const { return opts_.cache ? store_ : nullptr; }
-
-  // --- Linux syscall funnel (Table I) ---------------------------------------
-  /// Full funnel over one program. `verify_jobs` overrides the pool width
-  /// of the verification stage only (scan_targets passes 1: it already
-  /// parallelizes across targets).
-  ServerScan scan_program(const analysis::TargetProgram& prog, int verify_jobs = 0);
-  ServerScan scan_target(const TargetSpec& spec);
-  /// Scan several targets, sharded across the exec pool; results in input
-  /// order, identical to scanning serially.
-  std::vector<ServerScan> scan_targets(const std::vector<const TargetSpec*>& specs);
-
-  // --- SEH funnel (Tables II/III, §V-C) -------------------------------------
-  SehCorpus extract(const std::vector<std::vector<u8>>& blobs);
-  ClassifyOutcome classify(const SehCorpus& corpus);
-  std::vector<analysis::ModuleSehStats> xref(const SehCorpus& corpus,
-                                             const ClassifyOutcome& cls,
-                                             const trace::Tracer* tracer,
-                                             const os::Process* proc);
-
-  /// Materialize a kDllCorpus registry entry into serialized image blobs.
-  static std::vector<std::vector<u8>> dll_blobs(const TargetSpec& spec);
-  /// Serialize already-generated DLL images (browser corpora).
-  static std::vector<std::vector<u8>> image_blobs(
-      const std::vector<targets::GeneratedDll>& dlls);
-
-  // --- Windows API funnel (§V-B) --------------------------------------------
-  /// Populate `kernel`'s API registry from a kApiCorpus spec.
-  static void materialize_api_corpus(const TargetSpec& spec, os::Kernel& kernel);
-  ApiFuzzStage::Out fuzz_apis(os::Kernel& kernel);
-  std::vector<analysis::ApiSiteInfo> call_sites(const trace::Tracer& tracer,
-                                                const std::set<u32>& crash_resistant,
-                                                const os::Kernel& kernel,
-                                                const os::Process& proc,
-                                                const std::string& needle);
-
-  // --- whole-target funnels --------------------------------------------------
-  /// Plan `spec`'s funnel as a resumable cell (what the JobQueue executes).
-  std::unique_ptr<TargetCell> plan(const TargetSpec& spec) const;
-  /// Run the class-appropriate funnel end-to-end for one subject. Since
-  /// PR 8 this is a thin client of the job engine: it submits one job to an
-  /// inline JobQueue and waits — the batch path and the daemon path execute
+  /// Run the class-appropriate funnel end-to-end for one subject: one job
+  /// on an inline JobQueue, so the batch path and the daemon path execute
   /// the same cells.
   TargetReport run_target(const TargetSpec& spec);
   /// Every registered subject, registration order (submitted as one batch

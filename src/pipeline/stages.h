@@ -1,9 +1,9 @@
 // The paper's discovery pipeline as typed, individually schedulable stages.
 //
 // Each stage is a plain struct with an `In`/`Out` pair and a static run():
-// no inheritance, no type erasure — a driver (or the Campaign engine) wires
-// stages together with ordinary code, and the types document exactly which
-// artifact flows where:
+// no inheritance, no type erasure — the Campaign engine's target cells
+// (campaign.h) wire stages together with ordinary code, one cell step per
+// stage, and the types document exactly which artifact flows where:
 //
 //   Linux syscall funnel (Table I):
 //     TaintTraceStage -> SyscallCandidateStage -> VerifyStage

@@ -22,9 +22,6 @@
 namespace crp::obs {
 namespace {
 
-#define REQUIRE_OBS_COMPILED_IN() \
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out (CRP_OBS_DISABLED)"
-
 ProbeEvent ev(LedgerStage st, ProbeOutcome oc, u32 prim, u32 tgt, u64 addr, u64 ts) {
   ProbeEvent e;
   e.ts_ns = ts;
@@ -37,7 +34,6 @@ ProbeEvent ev(LedgerStage st, ProbeOutcome oc, u32 prim, u32 tgt, u64 addr, u64 
 }
 
 TEST(Ledger, RecordSnapshotTallies) {
-  REQUIRE_OBS_COMPILED_IN();
   Ledger led;
   u32 prim = led.intern("nginx-recv");
   u32 tgt = led.intern("nginx");
@@ -64,7 +60,6 @@ TEST(Ledger, RecordSnapshotTallies) {
 }
 
 TEST(Ledger, InternIsStableAndBounded) {
-  REQUIRE_OBS_COMPILED_IN();
   Ledger led;
   EXPECT_EQ(led.name_of(0), "-");
   u32 a = led.intern("alpha");
@@ -78,7 +73,6 @@ TEST(Ledger, InternIsStableAndBounded) {
 }
 
 TEST(Ledger, RingOverflowDropsEventsButTalliesStayExact) {
-  REQUIRE_OBS_COMPILED_IN();
   Ledger led(/*ring_capacity=*/16);
   u32 prim = led.intern("p");
   const u64 n = 100;
@@ -94,7 +88,6 @@ TEST(Ledger, RingOverflowDropsEventsButTalliesStayExact) {
 }
 
 TEST(Ledger, MultiThreadedEmission) {
-  REQUIRE_OBS_COMPILED_IN();
   Ledger led;
   u32 prim = led.intern("p");
   constexpr int kThreads = 4;
@@ -114,7 +107,6 @@ TEST(Ledger, MultiThreadedEmission) {
 }
 
 TEST(Ledger, ExitedThreadsArchiveAndFreeTheirRings) {
-  REQUIRE_OBS_COMPILED_IN();
   // Short-lived threads (pool workers built per call) must not leak their
   // rings: each thread's ring is drained into the archive and freed when
   // the thread exits. Asserted on the ring count, not on RSS.
@@ -141,7 +133,6 @@ TEST(Ledger, ExitedThreadsArchiveAndFreeTheirRings) {
 }
 
 TEST(Ledger, OwnerDestroyedBeforeItsProducerThreadExits) {
-  REQUIRE_OBS_COMPILED_IN();
   // The thread's exit must skip a ledger that is already gone.
   auto led = std::make_unique<Ledger>();
   std::mutex m;
@@ -168,7 +159,6 @@ TEST(Ledger, OwnerDestroyedBeforeItsProducerThreadExits) {
 }
 
 TEST(Ledger, BinaryRoundTrip) {
-  REQUIRE_OBS_COMPILED_IN();
   Ledger led;
   u32 prim = led.intern("ie-mutx-seh");
   u32 tgt = led.intern("ie");
@@ -193,7 +183,6 @@ TEST(Ledger, BinaryRoundTrip) {
 }
 
 TEST(Ledger, JsonlRoundTrip) {
-  REQUIRE_OBS_COMPILED_IN();
   Ledger led;
   u32 prim = led.intern("firefox-poll");
   u32 tgt = led.intern("firefox \"esc\"");  // exercises escaping
@@ -223,7 +212,6 @@ TEST(Ledger, JsonlRoundTrip) {
 }
 
 TEST(Ledger, WriteFilesProducesBothEncodings) {
-  REQUIRE_OBS_COMPILED_IN();
   Ledger led;
   u32 prim = led.intern("p");
   led.record(LedgerStage::kSweep, ProbeOutcome::kSurvive, prim, 0, 0x1000, 1);
@@ -251,7 +239,6 @@ TEST(Ledger, WriteFilesProducesBothEncodings) {
 // --- audit -------------------------------------------------------------------
 
 TEST(LedgerAudit, CleanLedgerPasses) {
-  REQUIRE_OBS_COMPILED_IN();
   Ledger led;
   u32 prim = led.intern("nginx-recv");
   for (u64 i = 0; i < 50; ++i)
@@ -268,7 +255,6 @@ TEST(LedgerAudit, CleanLedgerPasses) {
 }
 
 TEST(LedgerAudit, CatchesRecordedCrash) {
-  REQUIRE_OBS_COMPILED_IN();
   Ledger led;
   u32 prim = led.intern("crash-tolerant");
   led.record(LedgerStage::kOracle, ProbeOutcome::kSurvive, prim, 0, 0x1000, 1);
@@ -284,7 +270,6 @@ TEST(LedgerAudit, CatchesRecordedCrash) {
 }
 
 TEST(LedgerAudit, CatchesInjectedCrashInDecodedStream) {
-  REQUIRE_OBS_COMPILED_IN();
   // Offline path: a doctored JSONL document (no live tallies) must still
   // fail the zero-crash audit through audit_events.
   Ledger writer;
@@ -305,7 +290,6 @@ TEST(LedgerAudit, CatchesInjectedCrashInDecodedStream) {
 }
 
 TEST(LedgerAudit, VerifyAndDefenseCrashesAreNotViolations) {
-  REQUIRE_OBS_COMPILED_IN();
   // A verify-stage crash records a candidate being DISQUALIFIED and a
   // defense-stage crash the defender's view of a target death — neither
   // breaks the probing-stage zero-crash invariant.
@@ -324,7 +308,6 @@ TEST(LedgerAudit, VerifyAndDefenseCrashesAreNotViolations) {
 }
 
 TEST(LedgerAudit, CounterCrossCheckMatchesAndMismatches) {
-  REQUIRE_OBS_COMPILED_IN();
   Ledger led;
   Registry reg;
   u32 prim = led.intern("p");
@@ -347,7 +330,6 @@ TEST(LedgerAudit, CounterCrossCheckMatchesAndMismatches) {
 }
 
 TEST(LedgerAudit, ClearResetsEverything) {
-  REQUIRE_OBS_COMPILED_IN();
   Ledger led;
   u32 prim = led.intern("p");
   led.record(LedgerStage::kSweep, ProbeOutcome::kCrash, prim, 0, 0x1000, 1);

@@ -18,13 +18,7 @@
 namespace crp::obs {
 namespace {
 
-// Tests below that record values only make sense when instrumentation is
-// compiled in; under -DCRP_OBS_DISABLED recording is a no-op by design.
-#define REQUIRE_OBS_COMPILED_IN() \
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out (CRP_OBS_DISABLED)"
-
 TEST(Counter, IncAndReset) {
-  REQUIRE_OBS_COMPILED_IN();
   Counter c;
   EXPECT_EQ(c.value(), 0u);
   c.inc();
@@ -35,7 +29,6 @@ TEST(Counter, IncAndReset) {
 }
 
 TEST(Counter, RuntimeDisableDropsIncrements) {
-  REQUIRE_OBS_COMPILED_IN();
   Counter c;
   set_runtime_enabled(false);
   c.inc(100);
@@ -46,7 +39,6 @@ TEST(Counter, RuntimeDisableDropsIncrements) {
 }
 
 TEST(Gauge, SetAddUpdateMax) {
-  REQUIRE_OBS_COMPILED_IN();
   Gauge g;
   g.set(-7);
   EXPECT_EQ(g.value(), -7);
@@ -59,7 +51,6 @@ TEST(Gauge, SetAddUpdateMax) {
 }
 
 TEST(Histogram, ExactSmallValues) {
-  REQUIRE_OBS_COMPILED_IN();
   Histogram h;
   for (u64 v = 0; v < 4; ++v) {
     EXPECT_EQ(Histogram::bucket_index(v), v);
@@ -86,7 +77,6 @@ TEST(Histogram, BucketRangesInvertible) {
 }
 
 TEST(Histogram, StatsExact) {
-  REQUIRE_OBS_COMPILED_IN();
   Histogram h;
   h.record(10);
   h.record(20);
@@ -99,7 +89,6 @@ TEST(Histogram, StatsExact) {
 }
 
 TEST(Histogram, QuantilesOfUniformDistribution) {
-  REQUIRE_OBS_COMPILED_IN();
   Histogram h;
   for (u64 v = 1; v <= 10000; ++v) h.record(v);
   // Log-bucketing bounds relative quantile error by 1/kSubBuckets = 25%.
@@ -113,7 +102,6 @@ TEST(Histogram, QuantilesOfUniformDistribution) {
 }
 
 TEST(Histogram, QuantileClampedToObservedRange) {
-  REQUIRE_OBS_COMPILED_IN();
   Histogram h;
   h.record(1000);
   // A single sample: every quantile is that sample, not a bucket edge.
@@ -122,7 +110,6 @@ TEST(Histogram, QuantileClampedToObservedRange) {
 }
 
 TEST(Histogram, QuantileDegenerateCases) {
-  REQUIRE_OBS_COMPILED_IN();
   // Empty histogram: every quantile is 0, not a bucket artifact.
   Histogram empty;
   EXPECT_EQ(empty.quantile(0.0), 0u);
@@ -139,7 +126,6 @@ TEST(Histogram, QuantileDegenerateCases) {
 }
 
 TEST(Histogram, ResetClears) {
-  REQUIRE_OBS_COMPILED_IN();
   Histogram h;
   h.record(123);
   h.reset();
@@ -175,7 +161,6 @@ TEST(Registry, ResetValuesKeepsObjects) {
 }
 
 TEST(Registry, ConcurrentIncrementsExact) {
-  REQUIRE_OBS_COMPILED_IN();
   Registry r;
   Counter& c = r.counter("shared");
   constexpr int kThreads = 8;
@@ -190,7 +175,6 @@ TEST(Registry, ConcurrentIncrementsExact) {
 }
 
 TEST(Registry, ConcurrentGetOrCreate) {
-  REQUIRE_OBS_COMPILED_IN();
   Registry r;
   std::vector<std::thread> ts;
   for (int i = 0; i < 8; ++i)
@@ -203,7 +187,6 @@ TEST(Registry, ConcurrentGetOrCreate) {
 }
 
 TEST(Registry, JsonRoundTrip) {
-  REQUIRE_OBS_COMPILED_IN();
   Registry r;
   r.counter("a.count").inc(42);
   r.gauge("b.gauge").set(-5);
@@ -246,7 +229,6 @@ TEST(Registry, JsonEscapesControlCharacters) {
 }
 
 TEST(Registry, JsonEscapedNamesStillQueryable) {
-  REQUIRE_OBS_COMPILED_IN();
   Registry r;
   r.counter("weird\tname").inc(9);
   double v = 0;
@@ -260,7 +242,6 @@ TEST(Registry, GlobalIsSingleton) {
 }
 
 TEST(Registry, CounterValueReadOnly) {
-  REQUIRE_OBS_COMPILED_IN();
   Registry r;
   r.counter("c").inc(7);
   r.gauge("g").set(3);
@@ -271,7 +252,6 @@ TEST(Registry, CounterValueReadOnly) {
 }
 
 TEST(Snapshot, CarriesAllThreeKinds) {
-  REQUIRE_OBS_COMPILED_IN();
   Registry r;
   r.counter("c").inc(5);
   r.gauge("g").set(-2);
@@ -287,7 +267,6 @@ TEST(Snapshot, CarriesAllThreeKinds) {
 }
 
 TEST(Snapshot, DiffAllThreeKinds) {
-  REQUIRE_OBS_COMPILED_IN();
   Registry r;
   Counter& c = r.counter("c");
   Gauge& g = r.gauge("g");
@@ -316,7 +295,6 @@ TEST(Snapshot, DiffAllThreeKinds) {
 }
 
 TEST(Expo, PrometheusTextFormat) {
-  REQUIRE_OBS_COMPILED_IN();
   Registry r;
   r.counter("oracle.scan.probes").inc(42);
   r.gauge("bench.wall_ns").set(1000);
@@ -336,7 +314,6 @@ TEST(Expo, PrometheusTextFormat) {
 }
 
 TEST(Expo, JsonCarriesBucketBoundaries) {
-  REQUIRE_OBS_COMPILED_IN();
   Registry r;
   r.histogram("h").record(10);
   std::string j = expo::json(r.snapshot());
@@ -348,7 +325,6 @@ TEST(Expo, JsonCarriesBucketBoundaries) {
 }
 
 TEST(Expo, ParseBenchJsonRoundTrip) {
-  REQUIRE_OBS_COMPILED_IN();
   // Feed the parser exactly what BenchSession writes.
   Registry r;
   r.counter("vm.instr_retired").inc(12345);
@@ -376,14 +352,12 @@ TEST(Expo, ParseBenchJsonRoundTrip) {
 }
 
 TEST(ScopedTimerTest, RecordsOneSample) {
-  REQUIRE_OBS_COMPILED_IN();
   Histogram h;
   { ScopedTimer t(h); }
   EXPECT_EQ(h.count(), 1u);
 }
 
 TEST(ScopedVirtualTimerTest, RecordsClockDelta) {
-  REQUIRE_OBS_COMPILED_IN();
   Histogram h;
   u64 clock = 1000;
   {
@@ -395,7 +369,6 @@ TEST(ScopedVirtualTimerTest, RecordsClockDelta) {
 }
 
 TEST(JournalTest, CapacityBoundAndDropCount) {
-  REQUIRE_OBS_COMPILED_IN();
   Journal j(4);
   for (u64 i = 0; i < 10; ++i) j.instant("e", "t", i);
   EXPECT_EQ(j.size(), 4u);
@@ -405,7 +378,6 @@ TEST(JournalTest, CapacityBoundAndDropCount) {
 }
 
 TEST(JournalTest, ChromeTraceSortedAndValid) {
-  REQUIRE_OBS_COMPILED_IN();
   Journal j(16);
   // Emit out of order; the exporter must sort by timestamp.
   j.span("b", "cat", 200, 10);
@@ -427,7 +399,6 @@ TEST(JournalTest, ChromeTraceSortedAndValid) {
 }
 
 TEST(JournalTest, DisabledJournalRecordsNothing) {
-  REQUIRE_OBS_COMPILED_IN();
   Journal j(16);
   set_runtime_enabled(false);
   j.instant("e", "t", 1);
@@ -436,7 +407,6 @@ TEST(JournalTest, DisabledJournalRecordsNothing) {
 }
 
 TEST(Preregister, ChaosAndCacheCountersAreInTheSnapshotSchema) {
-  REQUIRE_OBS_COMPILED_IN();
   // Regression: the exposition schema must carry the fault-injection and
   // artifact-cache counters even on clean runs (value 0), so a snapshot
   // diff between a clean and a chaos run shows exactly what was injected

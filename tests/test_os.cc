@@ -162,6 +162,12 @@ struct EfaultCase {
   int ptr_arg;  // which argument (1-based) carries the pointer
 };
 
+// Without this gtest prints the raw struct bytes, uninitialised padding
+// included, so the listed test names would change from build to build.
+void PrintTo(const EfaultCase& c, std::ostream* os) {
+  *os << sys_name(c.nr) << "_arg" << c.ptr_arg;
+}
+
 class EfaultSweep : public ::testing::TestWithParam<EfaultCase> {};
 
 TEST_P(EfaultSweep, GracefulEfault) {

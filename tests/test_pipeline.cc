@@ -1,16 +1,19 @@
 // Tests for the pipeline layer: target registry enumeration, the
 // content-addressed ArtifactStore (hit/miss traffic, CRP_CACHE=0 bypass,
-// disk tier, key invalidation on content change), artifact codecs, and the
+// disk tier, key invalidation on content change), artifact codecs, the
 // golden equivalence between the staged Campaign funnel and the
-// pre-refactor manual discover()+verify() wiring.
+// pre-refactor manual discover()+verify() wiring, and the paper's
+// Windows-side tables rendered from run_target reports.
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <mutex>
 #include <set>
+#include <sstream>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -232,6 +235,15 @@ TEST(CacheKey, ChangesWhenImageBytesChange) {
 
 // --- Campaign funnel vs legacy wiring ---------------------------------------
 
+const TargetSpec& registered(const char* id) {
+  static TargetRegistry reg = TargetRegistry::builtin();
+  const TargetSpec* s = reg.find(id);
+  CRP_CHECK(s != nullptr);
+  return *s;
+}
+
+const TargetSpec& nginx_spec() { return registered("server/nginx_sim"); }
+
 TEST(Campaign, MatchesLegacyWiringByteForByte) {
   // The golden equivalence behind the bench_table1 byte-identity criterion,
   // at unit scale (nginx only — the full five-server check runs in CI):
@@ -245,8 +257,9 @@ TEST(Campaign, MatchesLegacyWiringByteForByte) {
 
   ArtifactStore store;  // isolated store: this test must compute, not reuse
   Campaign campaign({}, &store);
-  ServerScan scan = campaign.scan_program(prog);
-  EXPECT_FALSE(scan.cache_hit);
+  TargetReport rep = campaign.run_target(nginx_spec());
+  const ServerScan& scan = rep.server;
+  EXPECT_FALSE(rep.cache_hit);
 
   EXPECT_EQ(scan.result.syscalls_traced, legacy.syscalls_traced);
   EXPECT_EQ(scan.result.observed, legacy.observed);
@@ -263,34 +276,32 @@ TEST(Campaign, MatchesLegacyWiringByteForByte) {
 }
 
 TEST(Campaign, WarmScanIsACacheHitWithIdenticalRows) {
-  analysis::TargetProgram prog = targets::make_nginx();
   ArtifactStore store;
   Campaign campaign({}, &store);
 
-  ServerScan cold = campaign.scan_program(prog);
+  TargetReport cold = campaign.run_target(nginx_spec());
   EXPECT_FALSE(cold.cache_hit);
-  ServerScan warm = campaign.scan_program(prog);
+  TargetReport warm = campaign.run_target(nginx_spec());
   EXPECT_TRUE(warm.cache_hit);
   EXPECT_GE(store.hits(), 1u);
-  EXPECT_EQ(analysis::render_candidates(warm.result.candidates),
-            analysis::render_candidates(cold.result.candidates));
-  EXPECT_EQ(warm.result.observed, cold.result.observed);
-  EXPECT_EQ(warm.result.syscalls_traced, cold.result.syscalls_traced);
+  EXPECT_EQ(analysis::render_candidates(warm.server.result.candidates),
+            analysis::render_candidates(cold.server.result.candidates));
+  EXPECT_EQ(warm.server.result.observed, cold.server.result.observed);
+  EXPECT_EQ(warm.server.result.syscalls_traced, cold.server.result.syscalls_traced);
 }
 
 TEST(Campaign, CacheFalseBypassesTheStore) {
-  analysis::TargetProgram prog = targets::make_nginx();
   ArtifactStore store;
   CampaignOptions opts;
   opts.cache = false;
   Campaign campaign(opts, &store);
-  ServerScan a = campaign.scan_program(prog);
-  ServerScan b = campaign.scan_program(prog);
+  TargetReport a = campaign.run_target(nginx_spec());
+  TargetReport b = campaign.run_target(nginx_spec());
   EXPECT_FALSE(a.cache_hit);
   EXPECT_FALSE(b.cache_hit);
   EXPECT_EQ(store.hits() + store.misses() + store.stores(), 0u);
-  EXPECT_EQ(analysis::render_candidates(a.result.candidates),
-            analysis::render_candidates(b.result.candidates));
+  EXPECT_EQ(analysis::render_candidates(a.server.result.candidates),
+            analysis::render_candidates(b.server.result.candidates));
 }
 
 TEST(Campaign, RunTargetReportsServerFunnel) {
@@ -401,13 +412,6 @@ TEST(ArtifactStore, TenantAttributionFollowsTheScopedTenant) {
 }
 
 // --- JobQueue ----------------------------------------------------------------
-
-const TargetSpec& nginx_spec() {
-  static TargetRegistry reg = TargetRegistry::builtin();
-  const TargetSpec* s = reg.find("server/nginx_sim");
-  CRP_CHECK(s != nullptr);
-  return *s;
-}
 
 TEST(JobQueue, InlineJobMatchesRunTargetByteForByte) {
   ArtifactStore store_a, store_b;
@@ -650,6 +654,66 @@ TEST(JobQueue, ThreadedWorkersDrainConcurrentSubmissions) {
   // The shared store collapsed six identical jobs to one computation.
   EXPECT_EQ(store.misses(), 1u);
   EXPECT_GE(store.hits(), 5u);
+}
+
+// --- paper tables (Tables II/III, §V-B, §V-C) through run_target -----------
+
+// Renderings cut from the bench stdout of the facade the cells replaced.
+std::string golden(const char* name) {
+  std::ifstream f(std::filesystem::path(CRP_SOURCE_DIR) / "tests" / "golden" / name);
+  EXPECT_TRUE(f.good()) << "missing golden fixture " << name;
+  std::stringstream buf;
+  buf << f.rdbuf();
+  return buf.str();
+}
+
+TargetReport run_registered(const char* id) {
+  ArtifactStore store;  // isolated: compute, never replay
+  return Campaign({}, &store).run_target(registered(id));
+}
+
+TEST(PaperTables, TableTwoMatchesGolden) {
+  EXPECT_EQ(analysis::render_table2(run_registered("browser/iexplore_sim").seh.modules),
+            golden("table2_iexplore_sim.txt"));
+}
+
+TEST(PaperTables, TableThreeMatchesGolden) {
+  TargetReport x64 = run_registered("corpus/dll_x64");
+  TargetReport x32 = run_registered("corpus/dll_x32");
+  EXPECT_EQ(analysis::render_table3(x64.seh.modules, x32.seh.modules),
+            golden("table3.txt"));
+}
+
+TEST(PaperTables, ApiFunnelMatchesGolden) {
+  EXPECT_EQ(analysis::render_api_funnel(run_registered("corpus/winapi").api.funnel),
+            golden("api_funnel.txt"));
+}
+
+TEST(PaperTables, SystemWideSehFunnel) {
+  TargetReport rep = run_registered("browser/iexplore_sys187");
+  const SehFunnel& seh = rep.seh;
+  size_t guarded = 0, av_sites = 0, on_path = 0;
+  u64 events = 0;
+  for (const analysis::ModuleSehStats& m : seh.modules) {
+    guarded += m.guarded_total;
+    av_sites += m.guarded_av_capable;
+    on_path += m.guarded_on_path;
+    events += m.trigger_events;
+  }
+  EXPECT_EQ(seh.modules.size(), 187u);
+  EXPECT_EQ(seh.handlers, 6834u);
+  EXPECT_EQ(guarded, 6834u);
+  EXPECT_EQ(seh.unique_filters, 5709u);
+  EXPECT_EQ(seh.av_filters, 873u);
+  EXPECT_EQ(seh.manual_filters, 283u);
+  EXPECT_EQ(seh.av_filter_handlers, 1580u);
+  EXPECT_EQ(seh.catch_all_handlers, 284u);
+  EXPECT_EQ(av_sites, 1864u);
+  EXPECT_EQ(on_path, 439u);
+  EXPECT_EQ(events, 13301u);
+  EXPECT_EQ(rep.browse.deref_guards, 1863u);
+  EXPECT_EQ(rep.browse.gratuitous_guards, 1u);
+  EXPECT_EQ(rep.browse.narrow_guards, 4970u);
 }
 
 TEST(Campaign, RunTargetScansTheManagedRuntime) {

@@ -76,7 +76,6 @@ TEST(Respond, LedgerAndProfRoutesAreWellFormed) {
 }
 
 TEST(Respond, JsonExportsEscapeInternedNames) {
-  if (!kCompiledIn) GTEST_SKIP() << "observability compiled out (CRP_OBS_DISABLED)";
   // One name with a quote, a backslash and a C0 byte, interned into every
   // recorder: each JSON export must write \", \\ and \u0001.
   const std::string name = "q\"b\\c\x01";

@@ -4,11 +4,13 @@
 // Two layers of sweep:
 //
 //   1. A parallel target sweep: every kLinuxServer registry subject runs a
-//      reduced-budget Campaign syscall funnel under a per-cell ScopedPlan
-//      (one cell = target x seed, sharded over the exec pool; each cell's
-//      campaign runs jobs=1 because the cells already fill the pool).
-//      Invariant: the funnel completes and traces work under injected I/O
-//      and cache faults — no host crash, no hang, no empty trace.
+//      reduced-budget server cell through the job engine (the inline
+//      submit+wait drain of Campaign::run_target and the daemon's batch
+//      path) under a per-cell ScopedPlan (one cell = target x seed, sharded
+//      over the exec pool; each cell runs jobs=1 because the cells already
+//      fill the pool). Invariant: the funnel completes and traces work
+//      under injected I/O and cache faults, step boundaries included — no
+//      host crash, no hang, no empty trace.
 //
 //   2. The paper-level property suite via chaos::check(): oracle probes
 //      never crash the target, audit_ledger() stays green, taint labels
@@ -114,44 +116,26 @@ CellVerdict run_cell(const Cell& cell, const Options& opt) {
   copts.syscall.verify_budget = kSweepVerifyBudget;
   copts.syscall.seed = cell.seed;
 
+  pipeline::JobQueue q(pipeline::JobQueueOptions{0, nullptr});
+  pipeline::JobSpec js;
+  js.target = *cell.spec;
+  js.opts = copts;
+  js.seed = cell.seed;
+  pipeline::JobResult r = q.wait(q.submit(std::move(js)));
+  const analysis::SyscallScanResult& res = r.report.server.result;
   CellVerdict v;
-  if (cell.seed == opt.base_seed) {
-    // The sweep's first cell goes through the job engine — the same inline
-    // submit+wait drain the daemon's batch path uses — so step-decomposed
-    // cells and their boundaries also run under an armed fault plan.
-    pipeline::JobQueue q(pipeline::JobQueueOptions{0, nullptr});
-    pipeline::JobSpec js;
-    js.target = *cell.spec;
-    js.opts = copts;
-    js.seed = cell.seed;
-    pipeline::JobResult r = q.wait(q.submit(std::move(js)));
-    v.fired = scope.events().size();
-    unsigned long long syscalls = 0;
-    if (r.state != pipeline::JobState::kDone) {
-      v.ok = false;
-      v.msg = strf("job-engine cell finished %s: %s",
-                   pipeline::job_state_name(r.state), r.error.c_str());
-      v.replay = chaos::format_replay(cell.seed, scope.events());
-    } else if (std::sscanf(r.report.summary.c_str(), "%llu", &syscalls) != 1 ||
-               syscalls == 0) {
-      v.ok = false;
-      v.msg = strf("job-engine cell traced nothing (\"%s\")",
-                   r.report.summary.c_str());
-      v.replay = chaos::format_replay(cell.seed, scope.events());
-    }
-    return v;
-  }
-
-  pipeline::Campaign camp(copts);
-  pipeline::ServerScan scan = camp.scan_target(*cell.spec);
   v.fired = scope.events().size();
-  if (scan.result.instructions == 0 || scan.result.syscalls_traced == 0) {
+  if (r.state != pipeline::JobState::kDone) {
+    v.ok = false;
+    v.msg = strf("job-engine cell finished %s: %s",
+                 pipeline::job_state_name(r.state), r.error.c_str());
+  } else if (res.instructions == 0 || res.syscalls_traced == 0) {
     v.ok = false;
     v.msg = strf("funnel traced nothing (instructions=%llu syscalls=%llu)",
-                 (unsigned long long)scan.result.instructions,
-                 (unsigned long long)scan.result.syscalls_traced);
-    v.replay = chaos::format_replay(cell.seed, scope.events());
+                 (unsigned long long)res.instructions,
+                 (unsigned long long)res.syscalls_traced);
   }
+  if (!v.ok) v.replay = chaos::format_replay(cell.seed, scope.events());
   return v;
 }
 
@@ -326,12 +310,12 @@ std::optional<std::string> decoder_oob_body(u64 seed) {
   return std::nullopt;
 }
 
-u64 digest_scan(const pipeline::ServerScan& scan) {
-  u64 h = chaos::mix64(0x5ca9, scan.result.syscalls_traced);
-  h = chaos::mix64(h, scan.result.instructions);
-  for (os::Sys s : scan.result.observed)
+u64 digest_scan(const analysis::SyscallScanResult& scan) {
+  u64 h = chaos::mix64(0x5ca9, scan.syscalls_traced);
+  h = chaos::mix64(h, scan.instructions);
+  for (os::Sys s : scan.observed)
     h = chaos::mix64(h, static_cast<u64>(s));
-  for (const analysis::Candidate& c : scan.result.candidates) {
+  for (const analysis::Candidate& c : scan.candidates) {
     for (char ch : c.describe()) h = chaos::mix64(h, static_cast<u8>(ch));
     h = chaos::mix64(h, static_cast<u64>(c.verdict));
   }
@@ -352,13 +336,14 @@ std::optional<std::string> cache_cold_warm_body(u64 seed) {
   copts.syscall.discover_budget = kSweepDiscoverBudget;
   copts.syscall.verify_budget = kSweepVerifyBudget;
 
-  analysis::TargetProgram prog = targets::make_nginx();
+  static const pipeline::TargetRegistry reg = pipeline::TargetRegistry::builtin();
+  const pipeline::TargetSpec& nginx = *reg.find("server/nginx_sim");
 
   pipeline::ArtifactStore cold_store;
   cold_store.set_enabled(true);
   cold_store.set_dir(dir.string());
   pipeline::Campaign cold(copts, &cold_store);
-  u64 cold_digest = digest_scan(cold.scan_program(prog));
+  u64 cold_digest = digest_scan(cold.run_target(nginx).server.result);
 
   // Fresh store over the same directory: the disk tier (possibly corrupted
   // or truncated by the plan) is all the warm run can see. Detection must
@@ -367,7 +352,7 @@ std::optional<std::string> cache_cold_warm_body(u64 seed) {
   warm_store.set_enabled(true);
   warm_store.set_dir(dir.string());
   pipeline::Campaign warm(copts, &warm_store);
-  u64 warm_digest = digest_scan(warm.scan_program(prog));
+  u64 warm_digest = digest_scan(warm.run_target(nginx).server.result);
 
   std::error_code ec;
   fs::remove_all(dir, ec);
