@@ -10,15 +10,16 @@
 //
 // Thin driver over the pipeline layer: the population comes from the
 // TargetRegistry (corpus/winapi) and runs through its cell via
-// Campaign::run_target: ApiFuzzStage (answered from the content-addressed
-// ArtifactStore on a repeat), a traced browsing workload, then call-site
-// reduction through CallSiteTraceStage. Every narrowing step below is
+// Campaign::run_target: the api_fuzz step (answered from the
+// content-addressed ArtifactStore on a repeat), a traced browse, then the
+// call_sites reduction. Every narrowing step below is
 // *measured*: black-box fuzzing, dynamic tracing of a browsing workload,
 // call-stack attribution, pointer classification.
 
 #include <chrono>
 #include <cstdio>
 
+#include "analysis/report.h"
 #include "exec/thread_pool.h"
 #include "obs/bench_support.h"
 #include "pipeline/campaign.h"
@@ -63,7 +64,7 @@ int main() {
 
   // Stage 3+4: call-site analysis (on path, script-triggerable, pointer
   // controllability).
-  printf("Measured funnel:\n%s\n", pipeline::ReportStage::api_funnel(funnel).c_str());
+  printf("Measured funnel:\n%s\n", analysis::render_api_funnel(funnel).c_str());
   printf("Paper funnel:    20672 -> 11521 (55.7%%) -> 400 -> 25 -> 12 -> 0\n");
   printf("(controllable = 0 is the paper's negative result: every surviving\n");
   printf(" pointer argument is stack-allocated, dereferenced outside the\n");

@@ -58,7 +58,7 @@ int main() {
 
   printf("\nTable I (measured)\n");
   printf("  (+) usable   FP false positive   +- observed/invalid   . not on path\n\n");
-  printf("%s\n", pipeline::ReportStage::table1(names, results).c_str());
+  printf("%s\n", analysis::render_table1(names, results).c_str());
 
   printf("Paper Table I (expected pattern): one usable primitive per server —\n");
   printf("nginx:recv, cherokee:epoll_wait, lighttpd:read, memcached:read,\n");

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "analysis/report.h"
 #include "exec/thread_pool.h"
 #include "obs/bench_support.h"
 #include "pipeline/campaign.h"
@@ -55,7 +56,7 @@ int main() {
   printf("symbolic execution: %llu filters executed, %llu SAT queries\n\n",
          static_cast<unsigned long long>(rep.seh.filters_executed),
          static_cast<unsigned long long>(rep.seh.sat_queries));
-  printf("%s\n", pipeline::ReportStage::table2(rep.seh.modules).c_str());
+  printf("%s\n", analysis::render_table2(rep.seh.modules).c_str());
 
   printf("Paper Table II: user32 70/63/40, kernel32 76/66/14, msvcrt 129/10/3,\n");
   printf("jscript9 22/6/4, rpcrt4 62/20/6, sechost 133/11/0, ws2_32 82/29/10,\n");

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "analysis/report.h"
 #include "exec/thread_pool.h"
 #include "obs/bench_support.h"
 #include "pipeline/campaign.h"
@@ -56,7 +57,7 @@ int main() {
   pipeline::SehFunnel x64 = analyze(reg, "corpus/dll_x64");
   printf("x32 population:\n");
   pipeline::SehFunnel x32 = analyze(reg, "corpus/dll_x32");
-  printf("\n%s\n", pipeline::ReportStage::table3(x64.modules, x32.modules).c_str());
+  printf("\n%s\n", analysis::render_table3(x64.modules, x32.modules).c_str());
 
   printf("Paper anchors: sechost 126 -> 4, msvcrt 129 -> 9; symbolic execution\n");
   printf("\"significantly reduces the set of exception filters\" — the after/before\n");

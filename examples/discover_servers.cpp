@@ -41,7 +41,7 @@ int main() {
 
   printf("Table I — syscall candidate matrix\n");
   printf("  (+) usable primitive   FP false positive   +- observed/invalid   . unseen\n\n");
-  printf("%s\n", pipeline::ReportStage::table1(names, results).c_str());
+  printf("%s\n", analysis::render_table1(names, results).c_str());
 
   printf("Paper ground truth (§V-A): recv@nginx, epoll_wait@cherokee,\n");
   printf("read@lighttpd, read@memcached (+ epoll_wait@memcached as the false\n");

@@ -3,10 +3,11 @@
 // Pipeline shown end-to-end on nginx_sim, as the staged campaign engine
 // runs it (the same server cell bench_table1, crpd and crpbench run):
 //   1. pick the subject from the TargetRegistry,
-//   2. TaintTraceStage — run its test-suite workload under byte-granular
+//   2. taint_trace — run its test-suite workload under byte-granular
 //      taint tracking,
-//   3. SyscallCandidateStage + VerifyStage — corrupt every candidate
-//      pointer and watch both the process and the *service*,
+//   3. candidates + verify — keep the EFAULT-capable pointer sites, then
+//      corrupt every candidate pointer and watch both the process and the
+//      *service*,
 //   4. print the verdicts from the report's typed ServerScan.
 //
 // Build & run:  ./build/examples/quickstart
@@ -14,6 +15,7 @@
 
 #include <cstdio>
 
+#include "analysis/report.h"
 #include "pipeline/campaign.h"
 #include "targets/nginx.h"
 
@@ -39,7 +41,7 @@ int main() {
   printf("[2/2] verification: corrupting each candidate pointer and checking\n");
   printf("      process + service health (fresh instance per candidate)...\n\n");
 
-  printf("%s\n", pipeline::ReportStage::candidates(result.candidates).c_str());
+  printf("%s\n", analysis::render_candidates(result.candidates).c_str());
 
   printf("==> %d usable crash-resistant primitive(s) found.\n", rep.usable);
   printf("    An attacker can probe this server's address space with ZERO crashes.\n");

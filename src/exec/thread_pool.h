@@ -92,7 +92,7 @@ class ThreadPool {
   chaos::ThreadPlan chaos_thread_plan_{};
   // Profiler context of the batch issuer, re-entered around every task so
   // samples taken inside worker threads inherit the issuing stage/target
-  // (VerifyStage's machines must not sample as context-less).
+  // (the verify step's machines must not sample as context-less).
   obs::ProfContext prof_batch_ctx_{};
   // Non-empty: claim i executes task chaos_order_[i] (a seeded permutation;
   // merged output must be unchanged — the kTaskOrder invariant).

@@ -7,18 +7,22 @@
 // pick targets from the registry, call run_target / run_all, render the
 // TargetReport.
 //
-// Each target class has one funnel, a TargetCell composing the typed
-// stages of stages.h (one cell step per stage boundary):
-//   linux-server     TaintTrace -> SyscallCandidate -> Verify, whole scan
-//                    cached by target content
-//   managed-runtime  run -> signal-handler scan
-//   browser          traced browse -> SehExtract -> FilterClassify (cached)
-//                    -> CoverageXref + VEH harvest + guard audit
-//   dll-corpus       SehExtract -> FilterClassify (cached) -> CoverageXref
-//   api-corpus       ApiFuzz (cached) -> traced browse -> CallSiteTrace
-// The same cells serve run_target / run_all (an inline JobQueue), the crpd
-// daemon and crpbench; the report carries each class's typed results, so
-// every paper table renders from it.
+// Each target class has one funnel, a TargetCell whose steps call the
+// analysis:: and plan:: passes directly (steps marked * are cached):
+//   linux-server     taint_trace* -> candidates -> verify -> finalize (the
+//                    whole scan is one artifact, keyed by target content)
+//   managed-runtime  boot -> signal_scan -> finalize
+//   browser          browse (traced) -> seh_extract -> classify* -> xref_veh
+//                    (coverage xref + VEH harvest + guard audit) -> finalize
+//   dll-corpus       generate -> seh_extract -> classify* -> finalize
+//   api-corpus       api_fuzz* -> browse (traced) -> call_sites -> finalize
+// CampaignOptions::plan appends plan_synth* -> plan_verify to every class.
+// Each step runs under one StageScope named after it: a
+// `pipeline.stage.<step>.{runs,ns}` series, a "stage:<step>" journal span
+// and the profiler's stage label — the names the JobQueue, the JobTracer
+// and crpbench already report steps by. The same cells serve run_target /
+// run_all (an inline JobQueue), the crpd daemon and crpbench; the report
+// carries each class's typed results, so every paper table renders from it.
 //
 // Determinism contract (inherited from crp::exec and the scanners): every
 // funnel number and rendered table is bit-identical for any job count and
@@ -26,13 +30,17 @@
 // results, just faster.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "analysis/report.h"
+#include "analysis/seh_analysis.h"
+#include "analysis/syscall_scanner.h"
 #include "analysis/veh_scanner.h"
+#include "pipeline/artifact_store.h"
 #include "pipeline/registry.h"
-#include "pipeline/stages.h"
 #include "plan/replay.h"
 
 namespace crp::pipeline {
@@ -140,6 +148,17 @@ std::string render_report(const TargetReport& rep, bool cache_tag = true);
 /// BrowserSim construction parameters for a kBrowser registry entry.
 targets::BrowserSim::Options browser_options(const TargetSpec& spec);
 
+/// The plan_synth step's computation: synthesize the class-appropriate
+/// ExploitPlan from a target's verified candidates. Cached: keyed by the
+/// registry id + the evidence (describe/verdict/controllability of every
+/// candidate) and the synthesis configuration, under the store's
+/// single-writer lease. `store` == nullptr always computes. True when the
+/// plan was answered from the store.
+bool synthesize_plan(const TargetSpec& spec,
+                     const std::vector<analysis::Candidate>& candidates,
+                     const plan::SynthOptions& opts, ArtifactStore* store,
+                     plan::ExploitPlan* out);
+
 /// One target's funnel, decomposed into named, resumable steps.
 ///
 /// A TargetCell is the preemptible unit of the job engine: the JobQueue
@@ -148,8 +167,8 @@ targets::BrowserSim::Options browser_options(const TargetSpec& spec);
 /// worker for the whole run. Steps run in order, exactly once each; all
 /// intermediate state (kernels, tracers, corpora, cache leases) lives in
 /// the cell, and destroying a part-run cell releases whatever it held.
-/// Splitting points mirror the stage boundaries of stages.h, so the step
-/// sequence of a class is also its funnel documentation.
+/// Each class states its step order once, as the (name, body) list it
+/// hands the base class, so that list is also its funnel documentation.
 class TargetCell {
  public:
   virtual ~TargetCell() = default;
@@ -158,12 +177,13 @@ class TargetCell {
 
   const TargetSpec& spec() const { return spec_; }
   size_t step_count() const { return steps_.size(); }
-  const char* step_name(size_t i) const { return steps_[i]; }
+  const char* step_name(size_t i) const { return steps_[i].name; }
   /// Index of the next step to run (== steps completed so far).
   size_t next_step() const { return next_; }
   bool done() const { return next_ == steps_.size(); }
 
-  /// Run the next step. The final step finalizes the report.
+  /// Run the next step under a StageScope named after it. The final step
+  /// finalizes the report.
   void run_step();
 
   /// The job engine is parking this cell (preemption, or queue teardown):
@@ -178,35 +198,24 @@ class TargetCell {
   TargetReport& report() { return report_; }
 
  protected:
+  struct Step {
+    const char* name;  // stage id: metrics, journal, profiler, JobQueue
+    std::function<void()> body;
+  };
+
+  /// `steps` is the class funnel; the exploit-plan epilogue (plan_synth,
+  /// plan_verify) is appended when the options ask for plans.
   TargetCell(const CampaignOptions& opts, ArtifactStore* store, TargetSpec spec,
-             std::vector<const char*> steps)
-      : opts_(opts), store_(store), spec_(std::move(spec)), steps_(std::move(steps)) {
-    // The exploit-plan epilogue rides every class's funnel: two extra
-    // steps past the class-specific sequence, dispatched by the base class
-    // (run_step) so the cells' absolute-index switches never see them.
-    plan_step_base_ = steps_.size();
-    if (opts_.plan) {
-      steps_.push_back("plan_synth");
-      steps_.push_back("plan_verify");
-    }
-  }
-
-  virtual void do_step(size_t i) = 0;
-
-  /// Epilogue step bodies (plan_stages.cc): synthesize from the finished
-  /// report's candidates; replay against a fresh target instance. Each
-  /// holds any cache lease only within its own step, so parking between
-  /// steps never strands a lease.
-  void plan_synth_step();
-  void plan_verify_step();
+             std::vector<Step> steps);
 
   CampaignOptions opts_;
   ArtifactStore* store_;  // nullptr: caching off for this cell
   TargetSpec spec_;
-  std::vector<const char*> steps_;
-  size_t next_ = 0;
-  size_t plan_step_base_ = 0;  // first epilogue step index (== class steps)
   TargetReport report_;
+
+ private:
+  std::vector<Step> steps_;
+  size_t next_ = 0;
 };
 
 /// Plan the class-appropriate cell for `spec`. `store` == nullptr disables

@@ -6,36 +6,6 @@ namespace crp::pipeline {
 
 namespace {
 
-std::string esc(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == ' ' || c == '%' || c == '\n') {
-      static const char kHex[] = "0123456789abcdef";
-      out += '%';
-      out += kHex[(static_cast<u8>(c) >> 4) & 0xf];
-      out += kHex[static_cast<u8>(c) & 0xf];
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-std::string unesc(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '%' && i + 2 < s.size()) {
-      out += static_cast<char>(std::stoi(s.substr(i + 1, 2), nullptr, 16));
-      i += 2;
-    } else {
-      out += s[i];
-    }
-  }
-  return out;
-}
-
 bool expect_header(std::istringstream& in, const char* kind) {
   std::string magic, version, k;
   if (!(in >> magic >> version >> k)) return false;
@@ -62,8 +32,8 @@ std::string encode_syscall_scan(const analysis::SyscallScanResult& res) {
     out << "cand " << static_cast<u64>(c.syscall) << " " << c.pointer_arg << " "
         << c.taint_mask << " " << (c.pointer_home.has_value() ? 1 : 0) << " "
         << c.pointer_home.value_or(0) << " " << (c.controllable_home ? 1 : 0)
-        << " " << static_cast<u32>(c.verdict) << " " << esc(c.target) << " "
-        << esc(c.note) << "\n";
+        << " " << static_cast<u32>(c.verdict) << " " << pct_escape(c.target)
+        << " " << pct_escape(c.note) << "\n";
   }
   return out.str();
 }
@@ -98,8 +68,7 @@ bool decode_syscall_scan(const std::string& doc, analysis::SyscallScanResult* ou
     if (has_home != 0) c.pointer_home = home;
     c.controllable_home = ctrl != 0;
     c.verdict = static_cast<analysis::Verdict>(verdict);
-    c.target = unesc(target);
-    c.note = unesc(note);
+    if (!pct_unescape(target, &c.target) || !pct_unescape(note, &c.note)) return false;
     res.candidates.push_back(std::move(c));
   }
   *out = std::move(res);
@@ -115,7 +84,7 @@ std::string encode_classify(const ClassifyOutcome& o) {
   for (const analysis::FilterInfo& f : o.filters) {
     out << "filter " << f.offset << " " << static_cast<u32>(f.machine) << " "
         << static_cast<u32>(f.verdict) << " " << f.paths_explored << " "
-        << f.handlers_using << " " << esc(f.module) << "\n";
+        << f.handlers_using << " " << pct_escape(f.module) << "\n";
   }
   return out.str();
 }
@@ -140,7 +109,7 @@ bool decode_classify(const std::string& doc, ClassifyOutcome* out) {
       return false;
     f.machine = static_cast<isa::Machine>(machine);
     f.verdict = static_cast<analysis::FilterVerdict>(verdict);
-    f.module = unesc(module);
+    if (!pct_unescape(module, &f.module)) return false;
     o.filters.push_back(std::move(f));
   }
   *out = std::move(o);

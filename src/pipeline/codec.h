@@ -1,14 +1,16 @@
-// Text codecs for cached stage artifacts.
+// Text codecs for the artifacts cached TargetCell steps publish.
 //
 // Artifacts are stored as small line-oriented text documents: diffable,
 // greppable, and stable across builds (no struct-layout dependence). Each
 // document starts with a versioned header line; decoders reject any
-// mismatch, which the ArtifactStore caller treats as a miss — bumping a
-// kVersion below safely invalidates stale disk artifacts.
+// mismatch, which the cached step treats as a miss — bumping a kVersion
+// below safely invalidates stale disk artifacts.
 //
-// Only value-like stage outputs are encoded: verified syscall scans,
-// filter-classification outcomes, API fuzz results. Strings are
-// %-escaped so notes with spaces survive the token format.
+// Only value-like step outputs are encoded: verified syscall scans (the
+// server cell), filter-classification outcomes (classify), API fuzz
+// results (api_fuzz). Strings are %-escaped (util pct_escape) so notes
+// with spaces survive the token format. Decoders are total: any malformed
+// document, bad escapes included, returns false instead of throwing.
 #pragma once
 
 #include <string>
@@ -21,15 +23,13 @@ namespace crp::pipeline {
 
 inline constexpr int kCodecVersion = 1;
 
-/// FilterClassifyStage output: the per-filter verdicts plus the classifier
+/// The classify step's output: the per-filter verdicts plus the classifier
 /// counters the drivers print (so a cache hit replays identical stdout).
 struct ClassifyOutcome {
   std::vector<analysis::FilterInfo> filters;
   u64 filters_executed = 0;
   u64 sat_queries = 0;
   u64 memo_hits = 0;
-  /// True when this outcome was answered from the ArtifactStore.
-  bool cache_hit = false;
 };
 
 std::string encode_syscall_scan(const analysis::SyscallScanResult& res);

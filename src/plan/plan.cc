@@ -17,38 +17,6 @@ const char* surface_name(Surface s) {
 
 namespace {
 
-// Same escaping as the pipeline artifact codec: strings survive the
-// whitespace-token format.
-std::string esc(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == ' ' || c == '%' || c == '\n') {
-      static const char kHex[] = "0123456789abcdef";
-      out += '%';
-      out += kHex[(static_cast<u8>(c) >> 4) & 0xf];
-      out += kHex[static_cast<u8>(c) & 0xf];
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-std::string unesc(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '%' && i + 2 < s.size()) {
-      out += static_cast<char>(std::stoi(s.substr(i + 1, 2), nullptr, 16));
-      i += 2;
-    } else {
-      out += s[i];
-    }
-  }
-  return out;
-}
-
 u64 fnv1a(const char* data, size_t n) {
   u64 h = 0xcbf29ce484222325ull;
   for (size_t i = 0; i < n; ++i) {
@@ -63,7 +31,7 @@ constexpr const char* kSumTag = "sum ";
 // Length-prefixed escaped string: "<tag> 0" for empty, "<tag> <n> <token>"
 // otherwise — empty strings survive the whitespace-token format.
 void put_str(std::ostringstream& out, const char* tag, const std::string& s) {
-  std::string e = esc(s);
+  std::string e = pct_escape(s);
   out << tag << " " << e.size();
   if (!e.empty()) out << " " << e;
   out << "\n";
@@ -78,9 +46,7 @@ bool get_str(std::istringstream& in, const char* tag, std::string* s) {
     return true;
   }
   std::string e;
-  if (!(in >> e) || e.size() != n) return false;
-  *s = unesc(e);
-  return true;
+  return in >> e && e.size() == n && pct_unescape(e, s);
 }
 
 }  // namespace

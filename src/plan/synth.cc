@@ -93,7 +93,7 @@ ExploitPlan synthesize(const TargetBinding& b,
       }
       p.surface = Surface::kNginxRecv;
       p.primitive = c->describe();
-      p.symex_confirmed = false;  // dynamically verified (VerifyStage)
+      p.symex_confirmed = false;  // dynamically verified (the verify step)
       p.scan = sweep_scan(opts);
       // The recv() probe *writes* its 8 request bytes at the probed page
       // start: leak offsets skip the clobbered word, and the hijack is the

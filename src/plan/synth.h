@@ -36,7 +36,7 @@ namespace crp::plan {
 
 /// How to reach one registry target's oracle surface. Narrow on purpose:
 /// plan sits below pipeline in the library stack, so the pipeline layer
-/// maps its TargetSpec onto this (pipeline::binding_for).
+/// maps its TargetSpec onto this (binding_for, pipeline/campaign.cc).
 struct TargetBinding {
   std::string id;  // registry id, used for labels only
   Surface surface = Surface::kNone;

@@ -88,8 +88,6 @@ bool apply_knob(std::string_view kv, pipeline::JobSpec* spec, std::string* err) 
     ok = parse_u64(v, &spec->seed);
   } else if (k == "priority") {
     ok = parse_int(v, &spec->priority);
-  } else if (k == "jobs") {
-    ok = parse_int(v, &spec->opts.jobs);
   } else if (k == "cache") {
     u64 x = 0;
     ok = parse_u64(v, &x);

@@ -15,11 +15,11 @@
 //   PING                                   -> PONG
 //   QUIT                                   -> (connection closes)
 //
-// SUBMIT knobs (k=v): seed=<u64>, priority=<int>, jobs=<int>,
-// cache=<0|1>, discover=<u64 budget>, verify=<u64 budget>, plan=<0|1>,
-// trace=<u64>.
+// SUBMIT knobs (k=v): seed=<u64>, priority=<int>, cache=<0|1>,
+// discover=<u64 budget>, verify=<u64 budget>, plan=<0|1>, trace=<u64>.
 // Unknown knobs are a 400; malformed values are a 400. Tenants are
-// [A-Za-z0-9_-]{1,64}.
+// [A-Za-z0-9_-]{1,64}. A job's verify parallelism is the operator's
+// `crpd --jobs` setting, never a client's.
 //
 // trace=: pin an obs::JobTracer trace id (the daemon assigns one when
 // omitted). STATUS/EVENT/DONE/REPORT echo the id as a trailing

@@ -63,4 +63,46 @@ std::string human_size(u64 bytes) {
   return strf("%.1f%s", v, units[u]);
 }
 
+std::string pct_escape(std::string_view s) {
+  static const char kHex[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '%': case ' ': case '\t': case '\n': case '\v': case '\f': case '\r':
+        out += '%';
+        out += kHex[(static_cast<u8>(c) >> 4) & 0xf];
+        out += kHex[static_cast<u8>(c) & 0xf];
+        break;
+      default:
+        out += c;
+    }
+  }
+  return out;
+}
+
+bool pct_unescape(std::string_view s, std::string* out) {
+  auto hex = [](char c) -> int {
+    if (c >= '0' && c <= '9') return c - '0';
+    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+    return -1;
+  };
+  std::string r;
+  r.reserve(s.size());
+  for (size_t i = 0; i < s.size(); ++i) {
+    if (s[i] != '%') {
+      r += s[i];
+      continue;
+    }
+    int hi = i + 1 < s.size() ? hex(s[i + 1]) : -1;
+    int lo = i + 2 < s.size() ? hex(s[i + 2]) : -1;
+    if (hi < 0 || lo < 0) return false;
+    r += static_cast<char>(hi << 4 | lo);
+    i += 2;
+  }
+  *out = std::move(r);
+  return true;
+}
+
 }  // namespace crp

@@ -50,4 +50,12 @@ constexpr u64 align_up(u64 v, u64 a) { return (v + a - 1) & ~(a - 1); }
 /// Human-readable size, e.g. "4.0KiB".
 std::string human_size(u64 bytes);
 
+/// %-escape for whitespace-separated token formats (the artifact and plan
+/// codecs): '%' and every whitespace byte become "%xx" (lowercase hex), so
+/// an escaped non-empty string reads back as exactly one token.
+std::string pct_escape(std::string_view s);
+/// Inverse of pct_escape. False unless every '%' starts an escape with two
+/// hex digits; *out is written only on success.
+bool pct_unescape(std::string_view s, std::string* out);
+
 }  // namespace crp

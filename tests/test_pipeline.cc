@@ -20,7 +20,9 @@
 
 #include "analysis/report.h"
 #include "chaos/chaos.h"
+#include "obs/obs.h"
 #include "pipeline/campaign.h"
+#include "pipeline/codec.h"
 #include "pipeline/job_queue.h"
 #include "targets/nginx.h"
 #include "targets/servers.h"
@@ -205,6 +207,24 @@ TEST(Codec, RejectsWrongKindAndVersion) {
   analysis::ApiFuzzResult back;
   EXPECT_TRUE(decode_api_fuzz(doc, &back));
   EXPECT_EQ(back.total_apis, 10u);
+
+  // A string field whose escape is not '%' plus two hex digits makes the
+  // document malformed: a miss, never an exception.
+  analysis::Candidate c;
+  c.note = "ab ";  // encodes as "ab%20"
+  analysis::SyscallScanResult res;
+  res.candidates.push_back(c);
+  ClassifyOutcome outcome;
+  outcome.filters.emplace_back();
+  outcome.filters.back().module = "ab ";
+  for (const char* bad : {"%zz", "%2", "%", "%-1", "%+f", "%g0"}) {
+    std::string scan_doc = encode_syscall_scan(res);
+    std::string cls_doc = encode_classify(outcome);
+    scan_doc.replace(scan_doc.find("%20"), 3, bad);
+    cls_doc.replace(cls_doc.find("%20"), 3, bad);
+    EXPECT_FALSE(decode_syscall_scan(scan_doc, &scan)) << bad;
+    EXPECT_FALSE(decode_classify(cls_doc, &cls)) << bad;
+  }
 }
 
 // --- cache keys --------------------------------------------------------------
@@ -302,6 +322,60 @@ TEST(Campaign, CacheFalseBypassesTheStore) {
   EXPECT_EQ(store.hits() + store.misses() + store.stores(), 0u);
   EXPECT_EQ(analysis::render_candidates(a.server.result.candidates),
             analysis::render_candidates(b.server.result.candidates));
+}
+
+TEST(Campaign, BadEscapeInACachedScanIsRecomputed) {
+  ArtifactStore cold_store;
+  TargetReport cold = Campaign({}, &cold_store).run_target(nginx_spec());
+
+  // The nginx key holds a scan document with a non-hex escape: the cell
+  // takes the miss-and-recompute path instead of failing the job.
+  ArtifactStore store;
+  Campaign campaign({}, &store);
+  std::string doc = encode_syscall_scan(cold.server.result);
+  size_t esc = doc.find("%20");
+  ASSERT_NE(esc, std::string::npos);
+  doc.replace(esc, 3, "%zz");
+  store.store(campaign.syscall_scan_key(targets::make_nginx()), doc);
+
+  TargetReport warm = campaign.run_target(nginx_spec());
+  EXPECT_FALSE(warm.cache_hit);
+  EXPECT_EQ(analysis::render_candidates(warm.server.result.candidates),
+            analysis::render_candidates(cold.server.result.candidates));
+  EXPECT_EQ(warm.server.result.observed, cold.server.result.observed);
+  EXPECT_EQ(render_report(warm), render_report(cold));
+}
+
+TEST(Campaign, EveryStepRunsUnderOneStageScopeNamedAfterIt) {
+  // One run per class (plus the plan epilogue on jvm_sim): each step of
+  // the cell bumps its own pipeline.stage.<step>.runs exactly once, and no
+  // other pipeline.stage.* counter moves.
+  const std::pair<const char*, bool> runs[] = {
+      {"server/nginx_sim", false}, {"runtime/jvm_sim", true},
+      {"browser/iexplore_sim", false}, {"corpus/dll_x64", false},
+      {"corpus/winapi", false}};
+  for (const auto& [id, with_plan] : runs) {
+    CampaignOptions opts;
+    opts.plan = with_plan;
+    opts.syscall.discover_budget = 150'000;
+    opts.syscall.verify_budget = 150'000;
+    std::map<std::string, i64> want;
+    std::unique_ptr<TargetCell> cell = plan_target(opts, nullptr, registered(id));
+    for (size_t i = 0; i < cell->step_count(); ++i)
+      want[strf("pipeline.stage.%s.runs", cell->step_name(i))] = 1;
+
+    ArtifactStore store;
+    obs::Registry& reg = obs::Registry::global();
+    obs::Snapshot before = reg.snapshot();
+    Campaign(opts, &store).run_target(registered(id));
+    obs::Snapshot delta = obs::Registry::diff(before, reg.snapshot());
+    std::map<std::string, i64> got;
+    for (const auto& [name, v] : delta.values)
+      if (name.rfind("pipeline.stage.", 0) == 0 && v.kind == obs::MetricKind::kCounter &&
+          v.num != 0)
+        got[name] = v.num;
+    EXPECT_EQ(got, want) << id;
+  }
 }
 
 TEST(Campaign, RunTargetReportsServerFunnel) {
@@ -654,6 +728,27 @@ TEST(JobQueue, ThreadedWorkersDrainConcurrentSubmissions) {
   // The shared store collapsed six identical jobs to one computation.
   EXPECT_EQ(store.misses(), 1u);
   EXPECT_GE(store.hits(), 5u);
+}
+
+TEST(JobQueue, ConcurrentIdenticalClassifyJobsComputeOnce) {
+  // classify holds the store's single-writer lease like the server scan:
+  // two identical corpus jobs on two workers publish the artifact once.
+  ArtifactStore store;
+  store.set_enabled(true);
+  store.set_dir("");
+  JobQueue q(JobQueueOptions{2, &store});
+  JobSpec js;
+  js.target = registered("corpus/dll_x64");
+  JobId a = q.submit(js);
+  JobId b = q.submit(js);
+  JobResult ra = q.wait(a);
+  JobResult rb = q.wait(b);
+  ASSERT_EQ(ra.state, JobState::kDone);
+  ASSERT_EQ(rb.state, JobState::kDone);
+  EXPECT_EQ(render_report(ra.report, false), render_report(rb.report, false));
+  EXPECT_EQ(store.misses(), 1u);
+  EXPECT_EQ(store.hits(), 1u);
+  EXPECT_EQ(store.stores(), 1u);
 }
 
 // --- paper tables (Tables II/III, §V-B, §V-C) through run_target -----------

@@ -13,7 +13,6 @@
 #include "obs/ledger.h"
 #include "pipeline/campaign.h"
 #include "pipeline/registry.h"
-#include "pipeline/stages.h"
 #include "plan/plan.h"
 #include "plan/replay.h"
 #include "plan/synth.h"
@@ -93,6 +92,17 @@ TEST(PlanCodec, RejectsTruncatedDocuments) {
     EXPECT_FALSE(decode_plan(doc.substr(0, n), &q)) << "prefix length " << n;
 }
 
+// A plan body re-sealed with a valid checksum footer, so edits reach the
+// body parser instead of the checksum gate.
+std::string sealed(const std::string& body) {
+  u64 h = 0xcbf29ce484222325ull;
+  for (char c : body) {
+    h ^= static_cast<u8>(c);
+    h *= 0x100000001b3ull;
+  }
+  return body + strf("sum %016llx\n", (unsigned long long)h);
+}
+
 TEST(PlanCodec, RejectsCorruptedDocuments) {
   std::string doc = encode_plan(full_plan());
   for (size_t pos : {size_t{0}, doc.size() / 3, doc.size() / 2}) {
@@ -100,6 +110,18 @@ TEST(PlanCodec, RejectsCorruptedDocuments) {
     bad[pos] ^= 0x20;
     ExploitPlan q;
     EXPECT_FALSE(decode_plan(bad, &q)) << "flipped byte at " << pos;
+  }
+  // Bad escapes behind a valid checksum: malformed, never an exception.
+  size_t tail = doc.rfind("sum ");
+  ASSERT_NE(tail, std::string::npos);
+  std::string body = doc.substr(0, tail);
+  size_t pct = body.find("%25");
+  ASSERT_NE(pct, std::string::npos);
+  for (const char* bad : {"%zz", "%-1", "%+f", "%g0"}) {
+    std::string edited = body;
+    edited.replace(pct, 3, bad);
+    ExploitPlan q;
+    EXPECT_FALSE(decode_plan(sealed(edited), &q)) << bad;
   }
 }
 
@@ -113,14 +135,8 @@ TEST(PlanCodec, RejectsFutureVersion) {
   size_t v = body.find("crp-plan v1");
   ASSERT_NE(v, std::string::npos);
   body[v + 10] = '2';
-  u64 h = 0xcbf29ce484222325ull;
-  for (char c : body) {
-    h ^= static_cast<u8>(c);
-    h *= 0x100000001b3ull;
-  }
-  std::string bumped = body + strf("sum %016llx\n", (unsigned long long)h);
   ExploitPlan q;
-  EXPECT_FALSE(decode_plan(bumped, &q));
+  EXPECT_FALSE(decode_plan(sealed(body), &q));
 }
 
 // --- golden fixtures ---------------------------------------------------------
@@ -419,12 +435,10 @@ TEST(PlanStage, WarmSynthIsACacheHitWithIdenticalBytes) {
   ASSERT_NE(spec, nullptr);
   std::vector<analysis::Candidate> ev = nginx_evidence();
 
-  pipeline::PlanSynthStage::In in{spec, &ev, {}, &store};
-  pipeline::PlanSynthStage::Out cold = pipeline::PlanSynthStage::run(in);
-  EXPECT_FALSE(cold.cache_hit);
-  pipeline::PlanSynthStage::Out warm = pipeline::PlanSynthStage::run(in);
-  EXPECT_TRUE(warm.cache_hit);
-  EXPECT_EQ(encode_plan(cold.exploit_plan), encode_plan(warm.exploit_plan));
+  ExploitPlan cold, warm;
+  EXPECT_FALSE(pipeline::synthesize_plan(*spec, ev, {}, &store, &cold));
+  EXPECT_TRUE(pipeline::synthesize_plan(*spec, ev, {}, &store, &warm));
+  EXPECT_EQ(encode_plan(cold), encode_plan(warm));
 }
 
 TEST(PlanStage, CorruptCachedPlanIsRecomputedNotReplayed) {
@@ -438,9 +452,8 @@ TEST(PlanStage, CorruptCachedPlanIsRecomputedNotReplayed) {
   const pipeline::TargetSpec* spec = reg.find("server/nginx_sim");
   ASSERT_NE(spec, nullptr);
   std::vector<analysis::Candidate> ev = nginx_evidence();
-  pipeline::PlanSynthStage::In in{spec, &ev, {}, &store};
-  pipeline::PlanSynthStage::Out cold = pipeline::PlanSynthStage::run(in);
-  ASSERT_FALSE(cold.cache_hit);
+  ExploitPlan cold;
+  ASSERT_FALSE(pipeline::synthesize_plan(*spec, ev, {}, &store, &cold));
 
   // Corrupt every plan_synth blob on disk, then drop the memory tier: the
   // store-level checksum rejects the blob, so synthesis recomputes.
@@ -455,9 +468,9 @@ TEST(PlanStage, CorruptCachedPlanIsRecomputedNotReplayed) {
   ASSERT_GT(corrupted, 0u);
   store.clear();
 
-  pipeline::PlanSynthStage::Out again = pipeline::PlanSynthStage::run(in);
-  EXPECT_FALSE(again.cache_hit);
-  EXPECT_EQ(encode_plan(cold.exploit_plan), encode_plan(again.exploit_plan));
+  ExploitPlan again;
+  EXPECT_FALSE(pipeline::synthesize_plan(*spec, ev, {}, &store, &again));
+  EXPECT_EQ(encode_plan(cold), encode_plan(again));
   fs::remove_all(dir);
 }
 

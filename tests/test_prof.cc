@@ -214,7 +214,11 @@ TEST(Profiler, ChaosSweepStaysCrashFree) {
   u64 prev_interval = g.interval();
   g.set_interval(1000);
 
-  analysis::TargetProgram prog = targets::make_nginx();
+  pipeline::TargetRegistry reg = pipeline::TargetRegistry::builtin();
+  const pipeline::TargetSpec* nginx = reg.find("server/nginx_sim");
+  ASSERT_NE(nginx, nullptr);
+  pipeline::CampaignOptions opts;
+  opts.jobs = 2;
   for (u64 seed = 1; seed <= 8; ++seed) {
     chaos::FaultPlan plan;
     plan.seed = seed;
@@ -223,13 +227,14 @@ TEST(Profiler, ChaosSweepStaysCrashFree) {
     chaos::ScopedPlan scoped(plan);
 
     g.clear();
-    // The server funnel's stages, verify on two workers. Not run_target:
-    // each job step runs under its own chaos::TaskScope, which changes the
-    // faults, and on some seeds no machine then reaches the interval.
-    ScopedProfTarget target(prog.name);
-    analysis::SyscallScanResult scan = pipeline::TaintTraceStage::run({&prog, {}});
-    scan.candidates = pipeline::VerifyStage::run(
-        {&prog, {}, pipeline::SyscallCandidateStage::run({&scan}), 2});
+    // The server cell's steps, verify on two workers, driven directly. Not
+    // run_target: each job step runs under its own chaos::TaskScope, which
+    // changes the faults, and on some seeds no machine then reaches the
+    // interval.
+    std::unique_ptr<pipeline::TargetCell> cell =
+        pipeline::plan_target(opts, nullptr, *nginx);
+    while (!cell->done()) cell->run_step();
+    const analysis::SyscallScanResult& scan = cell->report().server.result;
     // The scan must complete and sample under fault injection; the scan
     // rendering its table proves no probe escaped as a real crash.
     EXPECT_GT(g.samples(), 0u) << "seed " << seed;

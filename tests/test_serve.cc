@@ -208,6 +208,7 @@ TEST(Protocol, KnobsParseAndRejectGarbage) {
   EXPECT_FALSE(apply_knob("seed=banana", &spec, &err));
   EXPECT_FALSE(apply_knob("nonsense=1", &spec, &err));
   EXPECT_FALSE(apply_knob("naked", &spec, &err));
+  EXPECT_FALSE(apply_knob("jobs=4", &spec, &err));  // operator-only (crpd --jobs)
 
   EXPECT_TRUE(valid_tenant("alice_01-x"));
   EXPECT_FALSE(valid_tenant(""));

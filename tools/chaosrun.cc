@@ -16,7 +16,8 @@
 //      never crash the target, audit_ledger() stays green, taint labels
 //      survive injected -EINTR retries, the decoder never reads out of
 //      bounds, warm-cache output is byte-identical to cold under cache
-//      corruption, and task-order perturbation never changes merged output.
+//      corruption, task-order perturbation never changes merged output, and
+//      the store and plan decoders are total on mutated documents.
 //      Failures are shrunk to a one-line CRP_CHAOS replay spec.
 //
 // Exit status 0 iff every invariant passed at every seed. Failing rows
@@ -28,6 +29,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -47,9 +49,10 @@
 #include "oracle/oracle.h"
 #include "os/kernel.h"
 #include "pipeline/campaign.h"
-#include "plan/replay.h"
+#include "pipeline/codec.h"
 #include "pipeline/job_queue.h"
 #include "pipeline/registry.h"
+#include "plan/replay.h"
 #include "taint/taint.h"
 #include "targets/common.h"
 #include "targets/nginx.h"
@@ -310,6 +313,178 @@ std::optional<std::string> decoder_oob_body(u64 seed) {
   return std::nullopt;
 }
 
+// store-codec-total: structure-aware mutation of valid store and plan
+// documents (ARCHEAP-style, aimed at our own parsers). Every decode must
+// return false or a value whose encode -> decode round-trips; a throw is a
+// failure. No fault point fires: the mutations are the input space.
+
+/// Re-encode what `doc` decodes to, or nullopt when the decoder rejects it.
+using Reencode = std::optional<std::string> (*)(const std::string& doc);
+
+template <typename T, bool (*Decode)(const std::string&, T*),
+          std::string (*Encode)(const T&)>
+std::optional<std::string> reencode(const std::string& doc) {
+  T value;
+  if (!Decode(doc, &value)) return std::nullopt;
+  return Encode(value);
+}
+
+struct CodecCase {
+  const char* kind;
+  std::string doc;  // a valid encoding
+  Reencode reencode;
+  bool sealed;  // plan: mutate the body, then re-seal the checksum footer
+};
+
+std::string plan_body(const std::string& doc) { return doc.substr(0, doc.rfind("sum ")); }
+
+std::string plan_seal(const std::string& body) {
+  u64 h = 0xcbf29ce484222325ull;  // FNV-1a, the plan footer's checksum
+  for (char c : body) {
+    h ^= static_cast<u8>(c);
+    h *= 0x100000001b3ull;
+  }
+  return body + strf("sum %016llx\n", (unsigned long long)h);
+}
+
+std::vector<CodecCase> codec_cases(chaos::Gen& gen) {
+  Rng& rng = gen.rng();
+  const char* notes[] = {"EFAULT observed; service healthy", "100% odd\tnote\r\n",
+                         "plain", "a  b %zz"};
+  analysis::SyscallScanResult scan;
+  scan.syscalls_traced = rng.next();
+  scan.instructions = rng.next();
+  scan.observed = {os::Sys::kRead, os::Sys::kRecv, os::Sys::kEpollWait};
+  for (int i = 0; i < 3; ++i) {
+    analysis::Candidate c;
+    c.target = "nginx sim";
+    c.syscall = i == 0 ? os::Sys::kRecv : os::Sys::kRead;
+    c.pointer_arg = 1 + i;
+    c.taint_mask = rng.next();
+    if (i != 1) c.pointer_home = rng.next();
+    c.controllable_home = i == 0;
+    c.verdict = static_cast<analysis::Verdict>(rng.below(5));
+    c.note = notes[rng.below(4)];
+    scan.candidates.push_back(c);
+  }
+  pipeline::ClassifyOutcome cls;
+  cls.filters_executed = rng.next();
+  cls.sat_queries = rng.below(1000);
+  cls.memo_hits = rng.below(1000);
+  for (int i = 0; i < 4; ++i) {
+    analysis::FilterInfo f;
+    f.module = i % 2 ? "sechost.dll" : "my module%.dll";
+    f.offset = rng.next();
+    f.machine = i % 2 ? isa::Machine::kX32 : isa::Machine::kX64;
+    f.verdict = static_cast<analysis::FilterVerdict>(rng.below(3));
+    f.paths_explored = rng.below(64);
+    f.handlers_using = rng.below(64);
+    cls.filters.push_back(f);
+  }
+  analysis::ApiFuzzResult fuzz;
+  fuzz.total_apis = static_cast<u32>(rng.next());
+  fuzz.with_pointer_args = static_cast<u32>(rng.next());
+  fuzz.probes_executed = static_cast<u32>(rng.next());
+  for (int i = 0; i < 6; ++i) fuzz.crash_resistant.insert(static_cast<u32>(rng.next()));
+  plan::ExploitPlan p;
+  p.target_id = "server/nginx_sim";
+  p.surface = plan::Surface::kNginxRecv;
+  p.primitive = notes[rng.below(4)];
+  p.rationale = "a rationale with spaces, %-signs and\na newline";
+  p.symex_confirmed = true;
+  p.region_pages = 16;
+  p.scan.mode = plan::ScanMode::kHunt;
+  p.scan.window_pages = rng.below(4096);
+  p.scan.max_probes = rng.next();
+  p.scan.seed = rng.next();
+  p.leak.offsets = {8, 16, rng.next()};
+  p.hijack.offset = 32;
+
+  using analysis::ApiFuzzResult;
+  using analysis::SyscallScanResult;
+  using pipeline::ClassifyOutcome;
+  return {
+      {"syscall_scan", pipeline::encode_syscall_scan(scan),
+       reencode<SyscallScanResult, pipeline::decode_syscall_scan,
+                pipeline::encode_syscall_scan>,
+       false},
+      {"filter_classify", pipeline::encode_classify(cls),
+       reencode<ClassifyOutcome, pipeline::decode_classify, pipeline::encode_classify>,
+       false},
+      {"api_fuzz", pipeline::encode_api_fuzz(fuzz),
+       reencode<ApiFuzzResult, pipeline::decode_api_fuzz, pipeline::encode_api_fuzz>,
+       false},
+      {"plan", plan::encode_plan(p),
+       reencode<plan::ExploitPlan, plan::decode_plan, plan::encode_plan>, true},
+  };
+}
+
+/// One mutant of `doc` (`other` is a splice partner); *what names the
+/// mutation for the failure message.
+std::string mutate(Rng& rng, const std::string& doc, const std::string& other,
+                   const char** what) {
+  std::string m = doc;
+  switch (rng.below(4)) {
+    case 0:
+      *what = "truncate";
+      m.resize(rng.below(m.size() + 1));
+      break;
+    case 1:
+      *what = "splice";
+      m = doc.substr(0, rng.below(doc.size() + 1)) +
+          other.substr(rng.below(other.size() + 1));
+      break;
+    case 2:
+      *what = "flip";
+      if (!m.empty()) m[rng.below(m.size())] ^= static_cast<char>(1u << rng.below(8));
+      break;
+    default: {
+      // A count field (a tag followed by a number) rewritten to 2^63.
+      *what = "count";
+      std::vector<std::pair<size_t, size_t>> counts;  // (offset, length) of the number
+      for (const char* tag : {"observed ", "candidates ", "filters ", "resistant ",
+                              "leak ", "target ", "primitive ", "rationale "})
+        for (size_t at = m.find(tag); at != std::string::npos; at = m.find(tag, at + 1)) {
+          size_t lo = at + std::strlen(tag), hi = lo;
+          while (hi < m.size() && std::isdigit(static_cast<unsigned char>(m[hi]))) ++hi;
+          if (hi > lo) counts.emplace_back(lo, hi - lo);
+        }
+      if (counts.empty()) break;
+      auto [lo, len] = counts[rng.below(counts.size())];
+      m.replace(lo, len, "9223372036854775808");
+      break;
+    }
+  }
+  return m;
+}
+
+std::optional<std::string> store_codec_total_body(u64 seed) {
+  chaos::Gen gen(seed);
+  Rng& rng = gen.rng();
+  std::vector<CodecCase> cases = codec_cases(gen);
+  for (int i = 0; i < 512; ++i) {
+    const CodecCase& c = cases[rng.below(cases.size())];
+    const CodecCase& partner = cases[rng.below(cases.size())];
+    const char* what = "";
+    std::string doc;
+    if (c.sealed)
+      doc = plan_seal(mutate(rng, plan_body(c.doc), plan_body(partner.doc), &what));
+    else
+      doc = mutate(rng, c.doc, partner.doc, &what);
+    try {
+      std::optional<std::string> once = c.reencode(doc);
+      if (!once.has_value()) continue;
+      std::optional<std::string> twice = c.reencode(*once);
+      if (twice != once)
+        return strf("%s %s mutant #%d: decoded value does not round-trip", c.kind,
+                    what, i);
+    } catch (const std::exception& e) {
+      return strf("%s decode threw on %s mutant #%d: %s", c.kind, what, i, e.what());
+    }
+  }
+  return std::nullopt;
+}
+
 u64 digest_scan(const analysis::SyscallScanResult& scan) {
   u64 h = chaos::mix64(0x5ca9, scan.syscalls_traced);
   h = chaos::mix64(h, scan.instructions);
@@ -534,6 +709,7 @@ int chaosrun_main(int argc, char** argv) {
   rows.push_back(run_property("task-order-output-stable", opt,
                               chaos::point_bit(chaos::Point::kTaskOrder),
                               task_order_body));
+  rows.push_back(run_property("store-codec-total", opt, 0, store_codec_total_body));
 
   // The table.
   size_t width = 0;
