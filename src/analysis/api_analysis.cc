@@ -65,16 +65,15 @@ ApiFuzzResult ApiFuzzer::fuzz_all(os::Kernel& kernel, int jobs) {
   // depend on chunking or scheduling — only on the spec and the id-derived
   // process seeds inside fuzz_one. Merging chunk results in input order
   // keeps crash_resistant identical for any job count.
-  exec::ThreadPool pool(jobs);
+  const size_t workers = static_cast<size_t>(exec::resolve_jobs(jobs));
   size_t chunk_size =
-      std::max<size_t>(1, (fuzz_ids.size() + static_cast<size_t>(pool.jobs()) * 8 - 1) /
-                              (static_cast<size_t>(pool.jobs()) * 8));
+      std::max<size_t>(1, (fuzz_ids.size() + workers * 8 - 1) / (workers * 8));
   std::vector<std::pair<size_t, size_t>> chunks;  // [begin, end) into fuzz_ids
   for (size_t b = 0; b < fuzz_ids.size(); b += chunk_size)
     chunks.emplace_back(b, std::min(b + chunk_size, fuzz_ids.size()));
 
   auto chunk_resistant = exec::parallel_map(
-      pool, chunks,
+      jobs, chunks,
       [&](size_t, const std::pair<size_t, size_t>& c) {
         // Copy only this chunk's specs: cloning the full 20k-spec surface
         // into every scratch kernel costs more than the fuzzing itself.

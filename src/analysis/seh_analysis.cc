@@ -28,9 +28,8 @@ bool SehExtractor::add_image_bytes(std::span<const u8> bytes) {
 }
 
 bool SehExtractor::add_images_bytes(const std::vector<std::vector<u8>>& blobs, int jobs) {
-  exec::ThreadPool pool(jobs);
   auto parsed = exec::parallel_map(
-      pool, blobs,
+      jobs, blobs,
       [](size_t, const std::vector<u8>& b) { return isa::read_image(b); }, "parse-image");
   bool ok = true;
   for (auto& img : parsed) {
@@ -219,11 +218,9 @@ std::vector<FilterInfo> FilterClassifier::classify_all(const SehExtractor& ex, i
     items.push_back({module, off, it->second});
   }
 
-  exec::ThreadPool pool(jobs);
-
   // Pass 1: content hashes (pure function of the image).
   std::vector<u64> hashes = exec::parallel_map(
-      pool, items,
+      jobs, items,
       [](size_t, const Item& it) { return filter_body_hash(*it.img, it.off); },
       "filter-hash");
 
@@ -243,7 +240,7 @@ std::vector<FilterInfo> FilterClassifier::classify_all(const SehExtractor& ex, i
   // Pass 2: symbolically execute one representative per unique body, each
   // task with its own symex::Ctx/Solver.
   std::vector<Outcome> outcomes = exec::parallel_map(
-      pool, run_idx,
+      jobs, run_idx,
       [&](size_t, const size_t& idx) {
         return classify_detail(*items[idx].img, items[idx].off);
       },

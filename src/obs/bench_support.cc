@@ -1,7 +1,6 @@
 #include "obs/bench_support.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -13,6 +12,7 @@
 #include "obs/obs.h"
 #include "obs/prof.h"
 #include "obs/serve.h"
+#include "obs/trace.h"
 #include "os/abi.h"
 #include "util/log.h"
 #include "vm/exception.h"
@@ -27,12 +27,6 @@ std::string out_dir() {
   std::error_code ec;
   std::filesystem::create_directories(d, ec);  // best effort; open reports failure
   return std::string(d) + "/";
-}
-
-u64 wall_ns() {
-  return static_cast<u64>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              std::chrono::steady_clock::now().time_since_epoch())
-                              .count());
 }
 
 // At most one live BenchSession registers itself as the process-exit flush
@@ -82,7 +76,6 @@ void preregister_core_metrics() {
   r.counter("defense.av_rate.alarms");
   r.gauge("defense.av_rate.peak_window");
   r.counter("analysis.pool.tasks");
-  r.histogram("analysis.pool.steal_ns");
   r.counter("analysis.classify.memo_hits");
   // Fault-injection and artifact-cache counters: preregistered so clean runs
   // expose them at zero and a snapshot diff shows exactly what chaos touched.
@@ -120,7 +113,8 @@ void preregister_core_metrics() {
   r.gauge("serve.conn.out_buffer_hwm");
 }
 
-BenchSession::BenchSession(const std::string& name) : name_(name), wall_t0_ns_(wall_ns()) {
+BenchSession::BenchSession(const std::string& name)
+    : name_(name), wall_t0_ns_(trace_now_ns()) {
   preregister_core_metrics();
   install_flush_handlers();
   serve::maybe_start_from_env();
@@ -139,7 +133,8 @@ std::string BenchSession::trace_path() const {
 void BenchSession::flush() {
   if (flushed_) return;
   flushed_ = true;
-  Registry::global().gauge("bench.wall_ns").set(static_cast<i64>(wall_ns() - wall_t0_ns_));
+  Registry::global().gauge("bench.wall_ns").set(
+      static_cast<i64>(trace_now_ns() - wall_t0_ns_));
   // Virtual-time cost metric: the retired-instruction count is deterministic,
   // so benchdiff can gate profiler overhead on it without wall-clock noise.
   Registry::global().gauge("bench.instr_virtual")

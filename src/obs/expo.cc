@@ -118,21 +118,6 @@ void skip_ws(const std::string& s, size_t* p) {
   while (*p < s.size() && std::isspace(static_cast<unsigned char>(s[*p]))) ++*p;
 }
 
-/// Parse a quoted string (the escapes Registry::json emits).
-bool parse_str(const std::string& s, size_t* p, std::string* out) {
-  skip_ws(s, p);
-  if (*p >= s.size() || s[*p] != '"') return false;
-  ++*p;
-  out->clear();
-  while (*p < s.size() && s[*p] != '"') {
-    if (s[*p] == '\\' && *p + 1 < s.size()) ++*p;
-    out->push_back(s[(*p)++]);
-  }
-  if (*p >= s.size()) return false;
-  ++*p;  // closing quote
-  return true;
-}
-
 bool parse_num(const std::string& s, size_t* p, double* out) {
   skip_ws(s, p);
   const char* start = s.c_str() + *p;
@@ -146,66 +131,69 @@ bool parse_num(const std::string& s, size_t* p, double* out) {
 
 }  // namespace
 
+bool parse_string(const std::string& s, size_t* p, std::string* out) {
+  skip_ws(s, p);
+  if (*p >= s.size() || s[*p] != '"') return false;
+  ++*p;
+  out->clear();
+  while (*p < s.size() && s[*p] != '"') {
+    if (s[*p] == '\\' && *p + 1 < s.size()) ++*p;
+    out->push_back(s[(*p)++]);
+  }
+  if (*p >= s.size()) return false;
+  ++*p;  // closing quote
+  return true;
+}
+
+bool parse_object(const std::string& s, size_t* p,
+                  const std::function<bool(const std::string&)>& value) {
+  skip_ws(s, p);
+  if (*p >= s.size() || s[*p] != '{') return false;
+  ++*p;
+  for (;;) {
+    skip_ws(s, p);
+    if (*p < s.size() && s[*p] == '}') {
+      ++*p;
+      return true;
+    }
+    std::string key;
+    if (!parse_string(s, p, &key)) return false;
+    skip_ws(s, p);
+    if (*p >= s.size() || s[*p] != ':') return false;
+    ++*p;
+    if (!value(key)) return false;
+    skip_ws(s, p);
+    if (*p < s.size() && s[*p] == ',') ++*p;
+  }
+}
+
+bool parse_metrics(const std::string& s, size_t* p, std::map<std::string, double>* out) {
+  return parse_object(s, p, [&](const std::string& key) {
+    skip_ws(s, p);
+    if (*p < s.size() && s[*p] == '{')  // histogram sub-object: {"count":...,"p50":...}
+      return parse_object(s, p, [&](const std::string& field) {
+        return parse_num(s, p, &(*out)[key + "/" + field]);
+      });
+    return parse_num(s, p, &(*out)[key]);
+  });
+}
+
 bool parse_bench_json(const std::string& text, BenchDoc* out) {
   out->flat.clear();
   // Header fields are optional so a bare metrics object also parses.
   if (size_t bp = text.find("\"bench\":"); bp != std::string::npos) {
     size_t p = bp + 8;
-    parse_str(text, &p, &out->bench);
+    parse_string(text, &p, &out->bench);
   }
   if (size_t sp = text.find("\"schema\":"); sp != std::string::npos) {
     size_t p = sp + 9;
     double v = 0;
     if (parse_num(text, &p, &v)) out->schema = static_cast<int>(v);
   }
-
-  size_t p = text.find("\"metrics\":");
-  if (p != std::string::npos) {
-    p += 10;
-  } else {
-    p = 0;  // treat the whole document as the metrics object
-  }
-  skip_ws(text, &p);
-  if (p >= text.size() || text[p] != '{') return false;
-  ++p;
-
-  for (;;) {
-    skip_ws(text, &p);
-    if (p < text.size() && text[p] == '}') return true;  // end of metrics
-    std::string key;
-    if (!parse_str(text, &p, &key)) return false;
-    skip_ws(text, &p);
-    if (p >= text.size() || text[p] != ':') return false;
-    ++p;
-    skip_ws(text, &p);
-    if (p < text.size() && text[p] == '{') {
-      // Histogram sub-object: {"count":...,"p50":...}.
-      ++p;
-      for (;;) {
-        skip_ws(text, &p);
-        if (p < text.size() && text[p] == '}') {
-          ++p;
-          break;
-        }
-        std::string field;
-        double v = 0;
-        if (!parse_str(text, &p, &field)) return false;
-        skip_ws(text, &p);
-        if (p >= text.size() || text[p] != ':') return false;
-        ++p;
-        if (!parse_num(text, &p, &v)) return false;
-        out->flat[key + "/" + field] = v;
-        skip_ws(text, &p);
-        if (p < text.size() && text[p] == ',') ++p;
-      }
-    } else {
-      double v = 0;
-      if (!parse_num(text, &p, &v)) return false;
-      out->flat[key] = v;
-    }
-    skip_ws(text, &p);
-    if (p < text.size() && text[p] == ',') ++p;
-  }
+  // Without a "metrics" key the whole document is the metrics object.
+  size_t mp = text.find("\"metrics\":");
+  size_t p = mp != std::string::npos ? mp + 10 : 0;
+  return parse_metrics(text, &p, &out->flat);
 }
 
 }  // namespace crp::obs::expo

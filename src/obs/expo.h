@@ -11,12 +11,13 @@
 //     tools can re-estimate quantiles.
 //
 // The reverse direction lives here too: parse_bench_json() reads the
-// BENCH_<name>.json files BenchSession writes, which is what tools/benchdiff
-// builds its regression gate on. It is a purpose-built parser for that one
-// format (flat metrics map, histogram sub-objects), not a general JSON
-// parser.
+// BENCH_<name>.json files BenchSession writes, and its pieces read the
+// combined baseline file; tools/benchdiff builds its regression gate on
+// both. They are purpose-built readers for those formats (string keys,
+// numbers, objects of them), not a general JSON parser.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <string>
 
@@ -49,5 +50,18 @@ struct BenchDoc {
 /// Parse a BenchSession metrics file (or the "metrics" object of one).
 /// Returns false on structural mismatch.
 bool parse_bench_json(const std::string& text, BenchDoc* out);
+
+/// Read the quoted string at *p, leading whitespace skipped (the escapes
+/// Registry::json emits); *p ends past the closing quote.
+bool parse_string(const std::string& s, size_t* p, std::string* out);
+
+/// Read the object at *p, leading whitespace skipped: {"key": value, ...}.
+/// `value(key)` reads each value starting at *p; *p ends past the '}'.
+bool parse_object(const std::string& s, size_t* p,
+                  const std::function<bool(const std::string&)>& value);
+
+/// Read a metrics object at *p: {"name": number, "hist": {"field": number,
+/// ...}, ...} into `out`, histogram fields as "hist/field".
+bool parse_metrics(const std::string& s, size_t* p, std::map<std::string, double>* out);
 
 }  // namespace crp::obs::expo

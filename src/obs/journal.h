@@ -29,13 +29,13 @@ namespace crp::obs {
 inline constexpr u32 kJournalTaskLanes = 16;
 
 /// Deterministic trace lane of the calling thread. Events emitted with
-/// tid == 0 adopt it, so nested spans (e.g. oracle probes inside a pool
+/// tid == 0 adopt it, so nested spans (e.g. oracle probes inside an exec
 /// task) land on their task's lane without plumbing a tid through every
 /// layer. Lane 0 (the default) is the main/untracked lane.
 u32 journal_thread_lane();
 void set_journal_thread_lane(u32 lane);
 
-/// RAII lane switch; exec::ThreadPool scopes one per task, derived from the
+/// RAII lane switch; exec::for_each_index scopes one per task, derived from the
 /// task id (never std::thread::id — thread identity is scheduling-dependent
 /// and would break trace determinism across runs and job counts).
 class ScopedJournalLane {

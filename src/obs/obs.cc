@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
+
+#include "obs/trace.h"
 
 namespace crp::obs {
 
@@ -119,19 +120,11 @@ void Histogram::reset() {
 
 // --- ScopedTimer -------------------------------------------------------------
 
-namespace {
-u64 wall_ns() {
-  return static_cast<u64>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              std::chrono::steady_clock::now().time_since_epoch())
-                              .count());
-}
-}  // namespace
-
-ScopedTimer::ScopedTimer(Histogram& h) : h_(h), t0_(wall_ns()) {}
+ScopedTimer::ScopedTimer(Histogram& h) : h_(h), t0_(trace_now_ns()) {}
 
 ScopedTimer::~ScopedTimer() { h_.record(elapsed_ns()); }
 
-u64 ScopedTimer::elapsed_ns() const { return wall_ns() - t0_; }
+u64 ScopedTimer::elapsed_ns() const { return trace_now_ns() - t0_; }
 
 // --- Registry ----------------------------------------------------------------
 

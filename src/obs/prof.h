@@ -175,8 +175,8 @@ class Profiler {
 
 // --- RAII context scopes ------------------------------------------------------
 
-/// Replace the whole context for a scope (exec::ThreadPool uses this to make
-/// worker tasks inherit the batch issuer's stage/target).
+/// Replace the whole context for a scope (exec::for_each_index uses this to
+/// make every task inherit the batch issuer's stage/target).
 class ScopedProfContext {
  public:
   explicit ScopedProfContext(const ProfContext& ctx) : prev_(Profiler::context()) {

@@ -1,7 +1,6 @@
 #include "pipeline/campaign.h"
 
 #include <algorithm>
-#include <chrono>
 #include <set>
 #include <stdexcept>
 
@@ -12,6 +11,7 @@
 #include "obs/ledger.h"
 #include "obs/obs.h"
 #include "obs/prof.h"
+#include "obs/trace.h"
 #include "os/abi.h"
 #include "pipeline/codec.h"
 #include "pipeline/job_queue.h"
@@ -123,12 +123,6 @@ obs::ProbeOutcome verdict_outcome(analysis::Verdict v) {
   return obs::ProbeOutcome::kTimeout;
 }
 
-u64 wall_ns() {
-  return static_cast<u64>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              std::chrono::steady_clock::now().time_since_epoch())
-                              .count());
-}
-
 /// Map a registry entry onto the plan layer's oracle-surface binding (the
 /// plan library sits below pipeline, so the registry-id -> surface mapping
 /// lives here): nginx_sim drives the §VI-C recv() oracle, jvm_sim the
@@ -178,12 +172,12 @@ plan::TargetBinding binding_for(const TargetSpec& spec) {
 class StageScope {
  public:
   StageScope(const char* id, const std::string& target)
-      : id_(id), target_(target), t0_ns_(wall_ns()), prof_stage_(id),
+      : id_(id), target_(target), t0_ns_(obs::trace_now_ns()), prof_stage_(id),
         prof_target_(target) {
     obs::Registry::global().counter(strf("pipeline.stage.%s.runs", id_)).inc();
   }
   ~StageScope() {
-    u64 dt = wall_ns() - t0_ns_;
+    u64 dt = obs::trace_now_ns() - t0_ns_;
     obs::Registry::global().histogram(strf("pipeline.stage.%s.ns", id_)).record(dt);
     obs::Journal::global().span(
         strf("stage:%s", id_), "pipeline", t0_ns_ / 1000, dt / 1000, 0, "subject",
@@ -402,15 +396,14 @@ class ServerCell final : public TargetCell {
   }
 
   /// Verify each candidate in a fresh target instance (corrupt the pointer,
-  /// keep driving the workload, classify the outcome), sharded across the
-  /// exec pool and merged in input order, then publish the scan.
+  /// keep driving the workload, classify the outcome), sharded by
+  /// exec::parallel_map and merged in input order, then publish the scan.
   void verify() {
     resume();
     if (report_.cache_hit) return;
     obs::ScopedProfTarget prof(prog_.name);
-    exec::ThreadPool pool(opts_.jobs);
     scan_.result.candidates = exec::parallel_map(
-        pool, cands_,
+        opts_.jobs, cands_,
         [&](size_t, const analysis::Candidate& c) {
           analysis::Candidate v = c;
           analysis::SyscallScanner(prog_, opts_.syscall).verify(v);
@@ -499,7 +492,7 @@ class SehCell : public TargetCell {
  protected:
   using TargetCell::TargetCell;
 
-  /// Sharded across the pool, merged in input order. Panics on malformed
+  /// Sharded by exec::parallel_map, merged in input order. Panics on malformed
   /// blobs: corpora are generated in-process.
   void seh_extract(const std::vector<std::vector<u8>>& blobs) {
     content_hash_ = corpus_content_hash(blobs);

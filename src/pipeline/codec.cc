@@ -32,8 +32,9 @@ std::string encode_syscall_scan(const analysis::SyscallScanResult& res) {
     out << "cand " << static_cast<u64>(c.syscall) << " " << c.pointer_arg << " "
         << c.taint_mask << " " << (c.pointer_home.has_value() ? 1 : 0) << " "
         << c.pointer_home.value_or(0) << " " << (c.controllable_home ? 1 : 0)
-        << " " << static_cast<u32>(c.verdict) << " " << pct_escape(c.target)
-        << " " << pct_escape(c.note) << "\n";
+        << " " << static_cast<u32>(c.verdict) << "\n";
+    put_str(out, "target", c.target);
+    put_str(out, "note", c.note);
   }
   return out.str();
 }
@@ -59,16 +60,15 @@ bool decode_syscall_scan(const std::string& doc, analysis::SyscallScanResult* ou
     u64 sys = 0, home = 0;
     int has_home = 0, ctrl = 0;
     u32 verdict = 0;
-    std::string target, note;
     if (!(in >> tag >> sys >> c.pointer_arg >> c.taint_mask >> has_home >> home >>
-          ctrl >> verdict >> target >> note) ||
-        tag != "cand")
+          ctrl >> verdict) ||
+        tag != "cand" || !get_str(in, "target", &c.target) ||
+        !get_str(in, "note", &c.note))
       return false;
     c.syscall = static_cast<os::Sys>(sys);
     if (has_home != 0) c.pointer_home = home;
     c.controllable_home = ctrl != 0;
     c.verdict = static_cast<analysis::Verdict>(verdict);
-    if (!pct_unescape(target, &c.target) || !pct_unescape(note, &c.note)) return false;
     res.candidates.push_back(std::move(c));
   }
   *out = std::move(res);
@@ -84,7 +84,8 @@ std::string encode_classify(const ClassifyOutcome& o) {
   for (const analysis::FilterInfo& f : o.filters) {
     out << "filter " << f.offset << " " << static_cast<u32>(f.machine) << " "
         << static_cast<u32>(f.verdict) << " " << f.paths_explored << " "
-        << f.handlers_using << " " << pct_escape(f.module) << "\n";
+        << f.handlers_using << "\n";
+    put_str(out, "module", f.module);
   }
   return out.str();
 }
@@ -102,14 +103,12 @@ bool decode_classify(const std::string& doc, ClassifyOutcome* out) {
   for (size_t i = 0; i < n; ++i) {
     analysis::FilterInfo f;
     u32 machine = 0, verdict = 0;
-    std::string module;
     if (!(in >> tag >> f.offset >> machine >> verdict >> f.paths_explored >>
-          f.handlers_using >> module) ||
-        tag != "filter")
+          f.handlers_using) ||
+        tag != "filter" || !get_str(in, "module", &f.module))
       return false;
     f.machine = static_cast<isa::Machine>(machine);
     f.verdict = static_cast<analysis::FilterVerdict>(verdict);
-    if (!pct_unescape(module, &f.module)) return false;
     o.filters.push_back(std::move(f));
   }
   *out = std::move(o);

@@ -8,9 +8,10 @@
 //
 // Only value-like step outputs are encoded: verified syscall scans (the
 // server cell), filter-classification outcomes (classify), API fuzz
-// results (api_fuzz). Strings are %-escaped (util pct_escape) so notes
-// with spaces survive the token format. Decoders are total: any malformed
-// document, bad escapes included, returns false instead of throwing.
+// results (api_fuzz). Strings are length-prefixed and %-escaped (util
+// put_str), so empty strings and notes with spaces survive the token format.
+// Decoders are total: any malformed document, bad escapes included, returns
+// false instead of throwing.
 #pragma once
 
 #include <string>
@@ -21,7 +22,7 @@
 
 namespace crp::pipeline {
 
-inline constexpr int kCodecVersion = 1;
+inline constexpr int kCodecVersion = 2;
 
 /// The classify step's output: the per-filter verdicts plus the classifier
 /// counters the drivers print (so a cache hit replays identical stdout).

@@ -28,27 +28,6 @@ u64 fnv1a(const char* data, size_t n) {
 
 constexpr const char* kSumTag = "sum ";
 
-// Length-prefixed escaped string: "<tag> 0" for empty, "<tag> <n> <token>"
-// otherwise — empty strings survive the whitespace-token format.
-void put_str(std::ostringstream& out, const char* tag, const std::string& s) {
-  std::string e = pct_escape(s);
-  out << tag << " " << e.size();
-  if (!e.empty()) out << " " << e;
-  out << "\n";
-}
-
-bool get_str(std::istringstream& in, const char* tag, std::string* s) {
-  std::string t;
-  size_t n = 0;
-  if (!(in >> t >> n) || t != tag) return false;
-  if (n == 0) {
-    s->clear();
-    return true;
-  }
-  std::string e;
-  return in >> e && e.size() == n && pct_unescape(e, s);
-}
-
 }  // namespace
 
 std::string encode_plan(const ExploitPlan& p) {

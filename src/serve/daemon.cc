@@ -114,12 +114,6 @@ void Daemon::tick_loop() {
   }
 }
 
-u64 Daemon::wall_ns() const {
-  return static_cast<u64>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              std::chrono::steady_clock::now().time_since_epoch())
-                              .count());
-}
-
 void Daemon::on_open(ConnId conn) {
   lines_.emplace(conn, LineBuffer());
   c_conns_opened_->inc();
@@ -242,7 +236,7 @@ Daemon::TenantSlo* Daemon::slo_for_locked(const std::string& tenant) {
 }
 
 void Daemon::handle_submit(ConnId conn, const Request& req) {
-  const u64 t_req = wall_ns();
+  const u64 t_req = obs::trace_now_ns();
   if (req.args.size() < 2) {
     server_.send(conn, err_line(400, "usage: SUBMIT <tenant> <target-id> [k=v]..."));
     return;
@@ -278,7 +272,7 @@ void Daemon::handle_submit(ConnId conn, const Request& req) {
   auto admission_span = [&](const char* verdict, u64 accepted) {
     if (js.trace != 0)
       jt.record(js.trace, 0, obs::SpanKind::kAdmission, jt.intern(verdict),
-                accepted, t_req, wall_ns());
+                accepted, t_req, obs::trace_now_ns());
   };
 
   // Admission: quota on concurrently-active jobs, then the submission-rate
@@ -293,7 +287,7 @@ void Daemon::handle_submit(ConnId conn, const Request& req) {
   }
   {
     std::unique_lock<std::mutex> lk(mu_);
-    u64 now = wall_ns();
+    u64 now = obs::trace_now_ns();
     // Tenant names are client-minted: expire windows with no submission
     // inside the trailing window, and cap the distinct names tracked at
     // once, so cycling fresh tenants cannot grow daemon state unboundedly.
@@ -395,11 +389,11 @@ void Daemon::handle_fetch(ConnId conn, const Request& req) {
   // cache_tag=false: a fetched report must be byte-identical whether the
   // job computed or replayed from the shared store (CI diffs it against
   // the batch examples/campaign block).
-  u64 t0 = wall_ns();
+  u64 t0 = obs::trace_now_ns();
   std::string body = pipeline::render_report(r.report, /*cache_tag=*/false);
   if (r.trace != 0)
     obs::JobTracer::global().record(r.trace, r.id, obs::SpanKind::kRender, 0,
-                                    body.size(), t0, wall_ns());
+                                    body.size(), t0, obs::trace_now_ns());
   server_.send(conn, report_frame(body, r.trace));
 }
 

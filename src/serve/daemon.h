@@ -129,7 +129,6 @@ class Daemon {
   void handle_watch(ConnId conn, const Request& req);
   void handle_fetch(ConnId conn, const Request& req);
   void on_job_event(const pipeline::JobEvent& ev);
-  u64 wall_ns() const;
   TenantSlo* slo_for_locked(const std::string& tenant);
   /// Background tick: watchdog scan, serve.conn.* mirror, queue gauges.
   void tick_loop();

@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <cstdarg>
+#include <istream>
+#include <ostream>
 
 namespace crp {
 
@@ -103,6 +105,25 @@ bool pct_unescape(std::string_view s, std::string* out) {
   }
   *out = std::move(r);
   return true;
+}
+
+void put_str(std::ostream& out, const char* tag, std::string_view s) {
+  std::string e = pct_escape(s);
+  out << tag << " " << e.size();
+  if (!e.empty()) out << " " << e;
+  out << "\n";
+}
+
+bool get_str(std::istream& in, const char* tag, std::string* s) {
+  std::string t;
+  size_t n = 0;
+  if (!(in >> t >> n) || t != tag) return false;
+  if (n == 0) {
+    s->clear();
+    return true;
+  }
+  std::string e;
+  return in >> e && e.size() == n && pct_unescape(e, s);
 }
 
 }  // namespace crp

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 
@@ -57,5 +58,13 @@ std::string pct_escape(std::string_view s);
 /// Inverse of pct_escape. False unless every '%' starts an escape with two
 /// hex digits; *out is written only on success.
 bool pct_unescape(std::string_view s, std::string* out);
+
+/// Length-prefixed escaped string line for the same token formats:
+/// "<tag> 0" for an empty string, "<tag> <n> <pct_escape(s)>" otherwise
+/// (n = escaped length), so empty strings survive the token format.
+void put_str(std::ostream& out, const char* tag, std::string_view s);
+/// Inverse of put_str. False unless the next tokens are `tag`, a length and
+/// (when it is nonzero) a valid escaped token of exactly that length.
+bool get_str(std::istream& in, const char* tag, std::string* s);
 
 }  // namespace crp

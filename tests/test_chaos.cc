@@ -135,9 +135,8 @@ TEST(Plan, DeterminismAcrossJobCounts) {
   auto run = [](int jobs) {
     TaskScope reset(7);  // pin the caller's salt context per run
     clear_injected_events();
-    exec::ThreadPool pool(jobs);
     std::vector<int> items(16);
-    auto out = exec::parallel_map(pool, items, [](size_t, const int&) {
+    auto out = exec::parallel_map(jobs, items, [](size_t, const int&) {
       FaultStream s = make_stream(kIoPoints);
       u64 acc = 0;
       for (int j = 0; j < 32; ++j)
@@ -347,7 +346,7 @@ TEST(Inject, CacheCorruptionDetectedAndRecomputed) {
   }
 }
 
-// exec::ThreadPool: task-order perturbation shuffles execution order but the
+// exec batches: task-order perturbation shuffles execution order but the
 // merged output is byte-identical — the determinism contract under chaos.
 TEST(Inject, TaskOrderPerturbsExecutionNotOutput) {
   FaultPlan plan;
@@ -357,9 +356,8 @@ TEST(Inject, TaskOrderPerturbsExecutionNotOutput) {
   ScopedPlan scope(plan);
 
   std::vector<u64> executed;  // jobs=1: everything runs on this thread
-  exec::ThreadPool pool(1);
   std::vector<int> items(8);
-  auto out = exec::parallel_map(pool, items, [&](size_t i, const int&) {
+  auto out = exec::parallel_map(1, items, [&](size_t i, const int&) {
     executed.push_back(i);
     return static_cast<u64>(i) * 10;
   });

@@ -25,10 +25,8 @@
 //    "benches":{"<name>":{"<metric>":<number>,...},...}}
 //
 // Exit codes: 0 ok / improved, 1 regression detected, 2 usage or I/O error.
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -44,6 +42,9 @@ namespace fs = std::filesystem;
 using crp::obs::json_escape;
 using crp::obs::expo::BenchDoc;
 using crp::obs::expo::parse_bench_json;
+using crp::obs::expo::parse_metrics;
+using crp::obs::expo::parse_object;
+using crp::obs::expo::parse_string;
 
 namespace {
 
@@ -66,81 +67,15 @@ bool read_file(const std::string& path, std::string* out) {
   return true;
 }
 
-// --- minimal parser for the combined baseline file ---------------------------
-
-void skip_ws(const std::string& s, size_t* p) {
-  while (*p < s.size() && std::isspace(static_cast<unsigned char>(s[*p]))) ++*p;
-}
-
-bool parse_str(const std::string& s, size_t* p, std::string* out) {
-  skip_ws(s, p);
-  if (*p >= s.size() || s[*p] != '"') return false;
-  ++*p;
-  out->clear();
-  while (*p < s.size() && s[*p] != '"') {
-    if (s[*p] == '\\' && *p + 1 < s.size()) ++*p;
-    out->push_back(s[(*p)++]);
-  }
-  if (*p >= s.size()) return false;
-  ++*p;
-  return true;
-}
-
-bool parse_num(const std::string& s, size_t* p, double* out) {
-  skip_ws(s, p);
-  const char* start = s.c_str() + *p;
-  char* end = nullptr;
-  double v = std::strtod(start, &end);
-  if (end == start) return false;
-  *p += static_cast<size_t>(end - start);
-  *out = v;
-  return true;
-}
-
-/// Parse a flat {"key": number, ...} object at *p (positioned on '{').
-bool parse_flat_object(const std::string& s, size_t* p,
-                       std::map<std::string, double>* out) {
-  skip_ws(s, p);
-  if (*p >= s.size() || s[*p] != '{') return false;
-  ++*p;
-  for (;;) {
-    skip_ws(s, p);
-    if (*p < s.size() && s[*p] == '}') {
-      ++*p;
-      return true;
-    }
-    std::string key;
-    double v = 0;
-    if (!parse_str(s, p, &key)) return false;
-    skip_ws(s, p);
-    if (*p >= s.size() || s[*p] != ':') return false;
-    ++*p;
-    if (!parse_num(s, p, &v)) return false;
-    (*out)[key] = v;
-    skip_ws(s, p);
-    if (*p < s.size() && s[*p] == ',') ++*p;
-  }
-}
+// --- combined baseline file --------------------------------------------------
 
 bool parse_baseline(const std::string& text, BenchSet* out) {
   size_t p = text.find("\"benches\":");
   if (p == std::string::npos) return false;
   p += 10;
-  skip_ws(text, &p);
-  if (p >= text.size() || text[p] != '{') return false;
-  ++p;
-  for (;;) {
-    skip_ws(text, &p);
-    if (p < text.size() && text[p] == '}') return true;
-    std::string name;
-    if (!parse_str(text, &p, &name)) return false;
-    skip_ws(text, &p);
-    if (p >= text.size() || text[p] != ':') return false;
-    ++p;
-    if (!parse_flat_object(text, &p, &(*out)[name])) return false;
-    skip_ws(text, &p);
-    if (p < text.size() && text[p] == ',') ++p;
-  }
+  return parse_object(text, &p, [&](const std::string& name) {
+    return parse_metrics(text, &p, &(*out)[name]);
+  });
 }
 
 // --- input loading -----------------------------------------------------------
@@ -164,7 +99,7 @@ std::string parse_meta_git_sha(const std::string& text) {
   if (p == std::string::npos) return "unknown";
   ++p;
   std::string sha;
-  if (!parse_str(text, &p, &sha) || sha.empty()) return "unknown";
+  if (!parse_string(text, &p, &sha) || sha.empty()) return "unknown";
   return sha;
 }
 

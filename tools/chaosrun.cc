@@ -7,8 +7,8 @@
 //      reduced-budget server cell through the job engine (the inline
 //      submit+wait drain of Campaign::run_target and the daemon's batch
 //      path) under a per-cell ScopedPlan (one cell = target x seed, sharded
-//      over the exec pool; each cell runs jobs=1 because the cells already
-//      fill the pool). Invariant: the funnel completes and traces work
+//      by exec::parallel_map; each cell runs jobs=1 because the cells
+//      already fill the workers). Invariant: the funnel completes and traces work
 //      under injected I/O and cache faults, step boundaries included — no
 //      host crash, no hang, no empty trace.
 //
@@ -113,7 +113,7 @@ CellVerdict run_cell(const Cell& cell, const Options& opt) {
   chaos::ScopedPlan scope(plan);
 
   pipeline::CampaignOptions copts;
-  copts.jobs = 1;  // the cells already fill the pool: no nested one
+  copts.jobs = 1;  // the cells already fill the workers: no nested helpers
   copts.cache = false;
   copts.syscall.discover_budget = kSweepDiscoverBudget;
   copts.syscall.verify_budget = kSweepVerifyBudget;
@@ -540,11 +540,10 @@ std::optional<std::string> cache_cold_warm_body(u64 seed) {
 }
 
 std::optional<std::string> task_order_body(u64 seed) {
-  exec::ThreadPool pool(1);  // caller-is-worker: stays under the plan
   std::vector<u64> items(64);
   for (u64 i = 0; i < items.size(); ++i) items[i] = chaos::mix64(seed, i);
   std::vector<u64> out = exec::parallel_map(
-      pool, items, [](size_t, const u64& v) { return chaos::mix64(v, 0x7ab); });
+      /*jobs=*/1, items, [](size_t, const u64& v) { return chaos::mix64(v, 0x7ab); });
   for (u64 i = 0; i < items.size(); ++i)
     if (out[i] != chaos::mix64(items[i], 0x7ab))
       return strf("merged output wrong at index %llu", (unsigned long long)i);
@@ -662,15 +661,14 @@ int chaosrun_main(int argc, char** argv) {
   // round-robin (a full seeds x targets matrix would be dominated by the
   // heavier workloads — cherokee_sim alone replays ~30M instructions per
   // funnel — without probing more of the fault space). Cells shard over
-  // the pool; ScopedPlan is thread-local, so each cell body is self-
-  // contained on its worker.
+  // exec::parallel_map; ScopedPlan is thread-local, so each cell body is
+  // self-contained on its worker.
   std::vector<Cell> cells;
   for (u64 i = 0; i < opt.seeds; ++i)
     cells.push_back(Cell{servers[i % servers.size()], opt.base_seed + i});
 
-  exec::ThreadPool pool(jobs);
   std::vector<CellVerdict> verdicts = exec::parallel_map(
-      pool, cells, [&](size_t, const Cell& c) { return run_cell(c, opt); });
+      jobs, cells, [&](size_t, const Cell& c) { return run_cell(c, opt); });
 
   std::vector<InvariantRow> rows;
   u64 sweep_fired = 0;
