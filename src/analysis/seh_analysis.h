@@ -59,8 +59,8 @@ class SehExtractor {
  public:
   /// Parse one serialized image; returns false on malformed input.
   bool add_image_bytes(std::span<const u8> bytes);
-  /// Parse a batch of serialized images, sharding the parses across a
-  /// thread pool (`jobs` as for exec::resolve_jobs). Images are added in
+  /// Parse a batch of serialized images, sharding the parses with
+  /// exec::parallel_map (`jobs` as for exec::resolve_jobs). Images are added in
   /// input order, identical to calling add_image_bytes in a loop; malformed
   /// blobs are skipped and make the call return false.
   bool add_images_bytes(const std::vector<std::vector<u8>>& blobs, int jobs = 0);
@@ -104,7 +104,7 @@ class FilterClassifier {
   explicit FilterClassifier(ClassifyOptions opts = {}) : opts_(opts) {}
 
   /// Classify every unique filter of `ex`, sharding the symbolic executions
-  /// across a thread pool (`jobs` as for exec::resolve_jobs; each task gets
+  /// with exec::parallel_map (`jobs` as for exec::resolve_jobs; each task gets
   /// its own symex::Ctx/Solver — hash-consing contexts are not shareable
   /// across threads). Results are merged in input order and a verdict memo
   /// cache keyed by filter_body_hash classifies duplicate filter bodies

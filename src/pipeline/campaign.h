@@ -2,10 +2,10 @@
 // through the paper's funnels.
 //
 // A Campaign owns the cross-cutting concerns every driver used to re-plumb
-// by hand: worker-count resolution (the exec pool), the content-addressed
-// ArtifactStore, and consistent stage options. Drivers stay declarative —
-// pick targets from the registry, call run_target / run_all, render the
-// TargetReport.
+// by hand: worker-count resolution (for exec's fork-join batches), the
+// content-addressed ArtifactStore, and consistent stage options. Drivers
+// stay declarative — pick targets from the registry, call run_target /
+// run_all, render the TargetReport.
 //
 // Each target class has one funnel, a TargetCell whose steps call the
 // analysis:: and plan:: passes directly (steps marked * are cached):

@@ -177,7 +177,7 @@ TEST(Profiler, SamplesSnapshotIsSortedByVirtualTime) {
 
 // --- the determinism acceptance property -------------------------------------
 
-/// One profiled syscall-funnel scan with the pool forced to `jobs` workers.
+/// One profiled syscall-funnel scan with its batches forced to `jobs` workers.
 /// Fresh ArtifactStore so every run computes instead of replaying the cache.
 std::string profiled_scan_collapsed(int jobs) {
   Profiler& g = Profiler::global();

@@ -1,3 +1,5 @@
+#include <sstream>
+
 #include <gtest/gtest.h>
 
 #include "util/common.h"
@@ -153,6 +155,41 @@ TEST(TextTable, PadsShortRows) {
   t.row({"x"});
   std::string out = t.render();
   EXPECT_NE(out.find("| x |"), std::string::npos);
+}
+
+TEST(PctEscape, RoundTripsWhitespaceAndPercent) {
+  std::string e = pct_escape("a b%\n");
+  EXPECT_EQ(e, "a%20b%25%0a");
+  std::string back;
+  ASSERT_TRUE(pct_unescape(e, &back));
+  EXPECT_EQ(back, "a b%\n");
+}
+
+TEST(PctEscape, UnescapeRejectsTruncatedAndNonHexEscapes) {
+  for (const char* bad : {"%", "%2", "ab%", "ab%2", "%zz", "%g0", "%-1"}) {
+    std::string out = "untouched";
+    EXPECT_FALSE(pct_unescape(bad, &out)) << bad;
+    EXPECT_EQ(out, "untouched") << bad;
+  }
+}
+
+TEST(PutStr, RoundTripsEmptyAndRejectsLengthMismatch) {
+  std::ostringstream out;
+  put_str(out, "note", "");
+  put_str(out, "name", "x y");
+  EXPECT_EQ(out.str(), "note 0\nname 5 x%20y\n");
+  std::istringstream in(out.str());
+  std::string a = "stale", b;
+  ASSERT_TRUE(get_str(in, "note", &a));
+  ASSERT_TRUE(get_str(in, "name", &b));
+  EXPECT_EQ(a, "");
+  EXPECT_EQ(b, "x y");
+
+  std::string s;
+  std::istringstream wrong_tag("note 0\n");
+  EXPECT_FALSE(get_str(wrong_tag, "name", &s));
+  std::istringstream wrong_len("name 4 x%20y\n");
+  EXPECT_FALSE(get_str(wrong_len, "name", &s));
 }
 
 }  // namespace
