@@ -60,14 +60,14 @@ ApiFuzzResult ApiFuzzer::fuzz_all(os::Kernel& kernel, int jobs) {
     fuzz_ids.push_back(id);
   }
 
-  // Shard contiguous id ranges across workers. Every chunk fuzzes against
-  // its own scratch kernel (copy of the API surface), so verdicts cannot
-  // depend on chunking or scheduling — only on the spec and the id-derived
-  // process seeds inside fuzz_one. Merging chunk results in input order
-  // keeps crash_resistant identical for any job count.
-  const size_t workers = static_cast<size_t>(exec::resolve_jobs(jobs));
-  size_t chunk_size =
-      std::max<size_t>(1, (fuzz_ids.size() + workers * 8 - 1) / (workers * 8));
+  // Shard contiguous id ranges into kChunks tasks. Every chunk fuzzes
+  // against its own scratch kernel (copy of the API surface), so verdicts
+  // cannot depend on chunking or scheduling — only on the spec and the
+  // id-derived process seeds inside fuzz_one. Merging chunk results in
+  // input order keeps crash_resistant identical for any job count, and a
+  // fixed chunk count keeps the task count (analysis.pool.tasks) so too.
+  constexpr size_t kChunks = 8;
+  size_t chunk_size = std::max<size_t>(1, (fuzz_ids.size() + kChunks - 1) / kChunks);
   std::vector<std::pair<size_t, size_t>> chunks;  // [begin, end) into fuzz_ids
   for (size_t b = 0; b < fuzz_ids.size(); b += chunk_size)
     chunks.emplace_back(b, std::min(b + chunk_size, fuzz_ids.size()));

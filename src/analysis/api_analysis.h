@@ -42,8 +42,8 @@ class ApiFuzzer {
   explicit ApiFuzzer(int probes_per_arg = 3) : probes_per_arg_(probes_per_arg) {}
 
   /// Fuzz every registered API with pointer args in `kernel`'s registry,
-  /// sharding the API ids with exec::parallel_map (`jobs` as for
-  /// exec::resolve_jobs). Each chunk fuzzes against its own scratch
+  /// in 8 contiguous chunks of API ids run by exec::parallel_map (`jobs`
+  /// as for exec::resolve_jobs). Each chunk fuzzes against its own scratch
   /// os::Kernel carrying a copy of `kernel`'s API specs, so `kernel` itself
   /// is never touched concurrently; verdicts depend only on the spec and
   /// the (id-derived, index-deterministic) probe seeds, making the result

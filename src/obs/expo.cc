@@ -1,6 +1,8 @@
 #include "obs/expo.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 
 namespace crp::obs::expo {
@@ -137,8 +139,32 @@ bool parse_string(const std::string& s, size_t* p, std::string* out) {
   ++*p;
   out->clear();
   while (*p < s.size() && s[*p] != '"') {
-    if (s[*p] == '\\' && *p + 1 < s.size()) ++*p;
-    out->push_back(s[(*p)++]);
+    char c = s[(*p)++];
+    if (c != '\\') {
+      out->push_back(c);
+      continue;
+    }
+    if (*p >= s.size()) return false;
+    switch (char e = s[(*p)++]) {
+      case 'b': out->push_back('\b'); break;
+      case 'f': out->push_back('\f'); break;
+      case 'n': out->push_back('\n'); break;
+      case 'r': out->push_back('\r'); break;
+      case 't': out->push_back('\t'); break;
+      case '"':
+      case '\\': out->push_back(e); break;
+      case 'u': {
+        // json_escape writes \u00XX for the other C0 bytes: ASCII only.
+        unsigned v = 0;
+        const char* digits = s.data() + *p;
+        auto [end, ec] = std::from_chars(digits, s.data() + std::min(s.size(), *p + 4), v, 16);
+        if (ec != std::errc() || end != digits + 4 || v >= 0x80) return false;
+        *p += 4;
+        out->push_back(static_cast<char>(v));
+        break;
+      }
+      default: return false;
+    }
   }
   if (*p >= s.size()) return false;
   ++*p;  // closing quote

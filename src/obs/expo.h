@@ -36,8 +36,8 @@ std::string prometheus_text(const Snapshot& snap, const std::string& prefix = "c
 std::string json(const Snapshot& snap);
 
 /// One parsed BENCH_<name>.json document. `flat` maps metric names to
-/// values; histogram fields use the "name/field" convention of
-/// obs::json_number ("sat.solve_ns/count", ".../sum", ".../p95", ...).
+/// values; histogram fields are keyed "name/field" ("sat.solve_ns/count",
+/// ".../sum", ".../p95", ...).
 struct BenchDoc {
   std::string bench;
   int schema = 0;
@@ -51,8 +51,9 @@ struct BenchDoc {
 /// Returns false on structural mismatch.
 bool parse_bench_json(const std::string& text, BenchDoc* out);
 
-/// Read the quoted string at *p, leading whitespace skipped (the escapes
-/// Registry::json emits); *p ends past the closing quote.
+/// Read the quoted string at *p, leading whitespace skipped, decoding the
+/// escapes json_escape writes; false on any other or a cut escape. *p ends
+/// past the closing quote.
 bool parse_string(const std::string& s, size_t* p, std::string* out);
 
 /// Read the object at *p, leading whitespace skipped: {"key": value, ...}.

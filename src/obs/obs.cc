@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <stdexcept>
 
 #include "obs/trace.h"
 
@@ -82,32 +81,17 @@ double Histogram::mean() const {
   return n == 0 ? 0.0 : static_cast<double>(sum()) / static_cast<double>(n);
 }
 
-u64 Histogram::quantile(double q) const {
-  u64 n = count();
-  if (n == 0) return 0;
-  // Degenerate distributions (single sample, or all samples equal) have an
-  // exact answer; don't let bucket interpolation manufacture one.
-  if (min() == max()) return min();
-  q = std::clamp(q, 0.0, 1.0);
-  // Rank of the q-th sample (1-based), then walk the cumulative counts.
-  u64 rank = static_cast<u64>(std::ceil(q * static_cast<double>(n)));
-  if (rank == 0) rank = 1;
-  u64 seen = 0;
-  for (u32 i = 0; i < kNumBuckets; ++i) {
-    u64 b = buckets_[i].load(std::memory_order_relaxed);
-    if (b == 0) continue;
-    if (seen + b >= rank) {
-      // Midpoint-rule interpolation inside the bucket (the k-th of b samples
-      // sits at fraction (k-0.5)/b), clamped to observed extremes.
-      u64 lo = bucket_lo(i), hi = bucket_hi(i);
-      double frac =
-          (static_cast<double>(rank - seen) - 0.5) / static_cast<double>(b);
-      u64 est = lo + static_cast<u64>(frac * static_cast<double>(hi - lo));
-      return std::clamp(est, min(), max());
-    }
-    seen += b;
-  }
-  return max();
+u64 Histogram::quantile(double q) const { return snap().quantile(q); }
+
+HistSnap Histogram::snap() const {
+  HistSnap s;
+  s.count = count();
+  s.sum = sum();
+  s.min = min();
+  s.max = max();
+  for (u32 i = 0; i < kNumBuckets; ++i)
+    if (u64 b = bucket_count(i); b > 0) s.buckets.emplace_back(i, b);
+  return s;
 }
 
 void Histogram::reset() {
@@ -203,12 +187,12 @@ std::string json_escape(std::string_view s) {
 }
 
 namespace {
-std::string hist_json(const Histogram& h) {
+std::string hist_json(const HistSnap& h) {
   return strf(
       "{\"count\":%llu,\"sum\":%llu,\"min\":%llu,\"max\":%llu,\"mean\":%.3f,"
       "\"p50\":%llu,\"p95\":%llu,\"p99\":%llu}",
-      static_cast<unsigned long long>(h.count()), static_cast<unsigned long long>(h.sum()),
-      static_cast<unsigned long long>(h.min()), static_cast<unsigned long long>(h.max()),
+      static_cast<unsigned long long>(h.count), static_cast<unsigned long long>(h.sum),
+      static_cast<unsigned long long>(h.min), static_cast<unsigned long long>(h.max),
       h.mean(), static_cast<unsigned long long>(h.quantile(0.50)),
       static_cast<unsigned long long>(h.quantile(0.95)),
       static_cast<unsigned long long>(h.quantile(0.99)));
@@ -231,7 +215,7 @@ std::string Registry::json() const {
         out += strf("%lld", static_cast<long long>(e.g->value()));
         break;
       case MetricKind::kHistogram:
-        out += hist_json(*e.h);
+        out += hist_json(e.h->snap());
         break;
     }
   }
@@ -253,15 +237,17 @@ std::string Registry::text(bool skip_zero) const {
         if (skip_zero && e.g->value() == 0) break;
         out += strf("  %-40s %lld\n", name.c_str(), static_cast<long long>(e.g->value()));
         break;
-      case MetricKind::kHistogram:
-        if (skip_zero && e.h->count() == 0) break;
+      case MetricKind::kHistogram: {
+        HistSnap h = e.h->snap();
+        if (skip_zero && h.count == 0) break;
         out += strf("  %-40s n=%llu mean=%.1f p50=%llu p95=%llu p99=%llu max=%llu\n",
-                    name.c_str(), static_cast<unsigned long long>(e.h->count()), e.h->mean(),
-                    static_cast<unsigned long long>(e.h->quantile(0.50)),
-                    static_cast<unsigned long long>(e.h->quantile(0.95)),
-                    static_cast<unsigned long long>(e.h->quantile(0.99)),
-                    static_cast<unsigned long long>(e.h->max()));
+                    name.c_str(), static_cast<unsigned long long>(h.count), h.mean(),
+                    static_cast<unsigned long long>(h.quantile(0.50)),
+                    static_cast<unsigned long long>(h.quantile(0.95)),
+                    static_cast<unsigned long long>(h.quantile(0.99)),
+                    static_cast<unsigned long long>(h.max));
         break;
+      }
     }
   }
   return out;
@@ -280,13 +266,18 @@ double HistSnap::mean() const {
 
 u64 HistSnap::quantile(double q) const {
   if (count == 0) return 0;
+  // Degenerate distributions (single sample, or all samples equal) have an
+  // exact answer; don't let bucket interpolation manufacture one.
   if (min == max) return min;
   q = std::clamp(q, 0.0, 1.0);
+  // Rank of the q-th sample (1-based), then walk the cumulative counts.
   u64 rank = static_cast<u64>(std::ceil(q * static_cast<double>(count)));
   if (rank == 0) rank = 1;
   u64 seen = 0;
   for (const auto& [idx, b] : buckets) {
     if (seen + b >= rank) {
+      // Midpoint-rule interpolation inside the bucket (the k-th of b samples
+      // sits at fraction (k-0.5)/b), clamped to observed extremes.
       u64 lo = Histogram::bucket_lo(idx), hi = Histogram::bucket_hi(idx);
       double frac =
           (static_cast<double>(rank - seen) - 0.5) / static_cast<double>(b);
@@ -325,16 +316,7 @@ Snapshot Registry::snapshot() const {
     switch (e.kind) {
       case MetricKind::kCounter: v.num = static_cast<i64>(e.c->value()); break;
       case MetricKind::kGauge: v.num = e.g->value(); break;
-      case MetricKind::kHistogram: {
-        const Histogram& h = *e.h;
-        v.hist.count = h.count();
-        v.hist.sum = h.sum();
-        v.hist.min = h.min();
-        v.hist.max = h.max();
-        for (u32 i = 0; i < Histogram::kNumBuckets; ++i)
-          if (u64 b = h.bucket_count(i); b > 0) v.hist.buckets.emplace_back(i, b);
-        break;
-      }
+      case MetricKind::kHistogram: v.hist = e.h->snap(); break;
     }
     snap.values.emplace(name, std::move(v));
   }
@@ -377,38 +359,6 @@ Snapshot Registry::diff(const Snapshot& before, const Snapshot& after) {
     out.values.emplace(name, std::move(d));
   }
   return out;
-}
-
-// --- json_number -------------------------------------------------------------
-
-bool json_number(const std::string& json, const std::string& key, double* out) {
-  std::string name = key;
-  std::string field;
-  if (size_t slash = key.find('/'); slash != std::string::npos) {
-    name = key.substr(0, slash);
-    field = key.substr(slash + 1);
-  }
-  size_t pos = json.find("\"" + json_escape(name) + "\":");
-  if (pos == std::string::npos) return false;
-  pos = json.find(':', pos);
-  ++pos;
-  while (pos < json.size() && (json[pos] == ' ' || json[pos] == '\n')) ++pos;
-  if (pos < json.size() && json[pos] == '{') {
-    if (field.empty()) return false;
-    size_t end = json.find('}', pos);
-    if (end == std::string::npos) return false;
-    size_t f = json.find("\"" + field + "\":", pos);
-    if (f == std::string::npos || f > end) return false;
-    pos = json.find(':', f) + 1;
-  }
-  try {
-    *out = std::stod(json.substr(pos));
-  } catch (const std::invalid_argument&) {  // no parsable number at pos
-    return false;
-  } catch (const std::out_of_range&) {  // magnitude overflows a double
-    return false;
-  }
-  return true;
 }
 
 }  // namespace crp::obs

@@ -81,6 +81,8 @@ class Gauge {
   std::atomic<i64> v_{0};
 };
 
+struct HistSnap;
+
 /// Log-bucketed histogram for non-negative samples (latencies, sizes).
 /// Values 0..3 get exact buckets; every power-of-two octave [2^k, 2^(k+1))
 /// with k >= 2 is split into kSubBuckets equal sub-ranges, bounding the
@@ -99,10 +101,11 @@ class Histogram {
   u64 max() const { return max_.load(std::memory_order_relaxed); }
   double mean() const;
 
-  /// Interpolated quantile estimate, q in [0, 1]. Degenerate inputs have
-  /// defined values: 0 when empty, the sample itself when min == max (in
-  /// particular the single-sample case) — never bucket interpolation noise.
+  /// snap().quantile(q): see HistSnap::quantile.
   u64 quantile(double q) const;
+
+  /// Point-in-time copy (Registry::snapshot's per-histogram substrate).
+  HistSnap snap() const;
 
   /// Bucket mapping, exposed for tests: index for a value, and the
   /// half-open [lo, hi) range a bucket covers.
@@ -167,7 +170,9 @@ struct HistSnap {
   std::vector<std::pair<u32, u64>> buckets;  // (bucket index, count), nonzero only
 
   double mean() const;
-  /// Same estimator (and degenerate-case guarantees) as Histogram::quantile.
+  /// Interpolated quantile estimate, q in [0, 1]. Degenerate inputs have
+  /// defined values: 0 when empty, the sample itself when min == max (in
+  /// particular the single-sample case) — never bucket interpolation noise.
   u64 quantile(double q) const;
 };
 
@@ -257,12 +262,5 @@ class Registry {
 /// `s` as the body of a JSON string: quotes, backslashes and every C0
 /// control byte escaped. The one escaper behind every JSON export.
 std::string json_escape(std::string_view s);
-
-/// Extract a numeric value from a flat JSON document produced by
-/// Registry::json() / BenchSession. `key` is the metric name, optionally
-/// with a "/field" suffix for histogram fields ("sat.solve_ns/p95").
-/// Returns false if the key is absent. Small, purpose-built — not a general
-/// JSON parser.
-bool json_number(const std::string& json, const std::string& key, double* out);
 
 }  // namespace crp::obs

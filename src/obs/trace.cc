@@ -87,109 +87,6 @@ void JobTracer::record(u64 trace, u64 job, SpanKind kind, u32 label, u64 arg,
   Registry::global().counter("crpd.trace.spans").inc();
 }
 
-// --- Live-job table ----------------------------------------------------------
-
-void JobTracer::job_started(u64 trace, u64 job, const std::string& tenant,
-                            const std::string& target) {
-  if (!armed() || trace == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  LiveJob& lj = live_[trace];
-  lj.trace = trace;
-  lj.job = job;
-  lj.tenant = tenant;
-  lj.target = target;
-  lj.parked = false;
-}
-
-void JobTracer::step_begin(u64 trace, const std::string& step) {
-  if (!armed() || trace == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = live_.find(trace);
-  if (it == live_.end()) return;
-  it->second.step = step;
-  it->second.step_since_ns = trace_now_ns();
-  it->second.parked = false;
-}
-
-void JobTracer::step_end(u64 trace) {
-  if (!armed() || trace == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = live_.find(trace);
-  if (it == live_.end()) return;
-  it->second.step.clear();
-  it->second.step_since_ns = 0;
-}
-
-void JobTracer::job_parked(u64 trace) {
-  if (!armed() || trace == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = live_.find(trace);
-  if (it == live_.end()) return;
-  it->second.parked = true;
-  it->second.step.clear();
-  it->second.step_since_ns = 0;
-}
-
-void JobTracer::lease_begin(u64 trace, u64 key, const std::string& stage) {
-  if (!armed() || trace == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = live_.find(trace);
-  if (it == live_.end()) return;
-  it->second.lease_since_ns = trace_now_ns();
-  it->second.lease_key = key;
-  (void)stage;
-}
-
-void JobTracer::lease_end(u64 trace) {
-  if (!armed() || trace == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = live_.find(trace);
-  if (it == live_.end()) return;
-  it->second.lease_since_ns = 0;
-  it->second.lease_key = 0;
-}
-
-void JobTracer::job_finished(u64 trace) {
-  if (!armed() || trace == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  live_.erase(trace);
-}
-
-std::vector<JobTracer::LiveJob> JobTracer::live_jobs() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<LiveJob> out;
-  out.reserve(live_.size());
-  for (const auto& [tr, lj] : live_) out.push_back(lj);
-  return out;
-}
-
-size_t JobTracer::watchdog_scan(u64 step_deadline_ns, u64 lease_deadline_ns) {
-  u64 now = trace_now_ns();
-  size_t fresh = 0;
-  Registry& reg = Registry::global();
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [tr, lj] : live_) {
-    if (!lj.step_flagged && lj.step_since_ns != 0 &&
-        now - lj.step_since_ns > step_deadline_ns) {
-      lj.step_flagged = true;
-      ++fresh;
-      reg.counter("crpd.watchdog.step_stalls").inc();
-      Journal::global().instant("watchdog.step_stall", "crpd", now / 1000, 0, "job",
-                                static_cast<i64>(lj.job));
-    }
-    if (!lj.lease_flagged && lj.lease_since_ns != 0 &&
-        now - lj.lease_since_ns > lease_deadline_ns) {
-      lj.lease_flagged = true;
-      ++fresh;
-      reg.counter("crpd.watchdog.lease_stalls").inc();
-      Journal::global().instant("watchdog.lease_stall", "crpd", now / 1000, 0, "job",
-                                static_cast<i64>(lj.job));
-    }
-  }
-  flags_.fetch_add(fresh, std::memory_order_relaxed);
-  return fresh;
-}
-
 // --- Drain / export ----------------------------------------------------------
 
 void JobTracer::append_locked(const JobSpan& s) {
@@ -311,10 +208,8 @@ void JobTracer::clear() {
   spans_.clear_locked();
   archive_.clear();
   archive_fifo_.clear();
-  live_.clear();
   names_.clear();
   dropped_ = 0;
-  flags_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace crp::obs

@@ -35,12 +35,8 @@
 // The tracer is disarmed by default: batch tools never arm it, so batch
 // stdout and bench numbers are untouched (one relaxed load per hook).
 // The daemon arms it and assigns a trace id to every accepted SUBMIT.
-//
-// The live-job table (armed-only, keyed by trace id) powers /jobs.json
-// and the stall watchdog: a scan flags jobs whose in-progress step or
-// held lease is older than a deadline — once per job per kind — bumping
-// crpd.watchdog.{step,lease}_stalls and dropping a journal instant, so
-// the PR-8 deadlock class is detectable, not just fixed.
+// The tracer only records and exports spans: what a job is doing *now*
+// (its step, park state, stall flags) is the JobQueue's own job record.
 #pragma once
 
 #include <atomic>
@@ -122,40 +118,6 @@ class JobTracer {
   void record(u64 trace, u64 job, SpanKind kind, u32 label, u64 arg, u64 t0_ns,
               u64 t1_ns);
 
-  // --- Live-job table (armed-only; keyed by trace id, which the daemon
-  // makes unique per submission). Powers /jobs.json and the watchdog.
-  struct LiveJob {
-    u64 trace = 0;
-    u64 job = 0;
-    std::string tenant;
-    std::string target;
-    std::string step;       // in-progress step name, "" between steps
-    u64 step_since_ns = 0;  // 0 = no step in progress
-    u64 lease_since_ns = 0; // 0 = no lease held
-    u64 lease_key = 0;
-    bool parked = false;
-    bool step_flagged = false;
-    bool lease_flagged = false;
-  };
-  void job_started(u64 trace, u64 job, const std::string& tenant,
-                   const std::string& target);
-  void step_begin(u64 trace, const std::string& step);
-  void step_end(u64 trace);
-  void job_parked(u64 trace);
-  void lease_begin(u64 trace, u64 key, const std::string& stage);
-  void lease_end(u64 trace);
-  void job_finished(u64 trace);
-  std::vector<LiveJob> live_jobs() const;
-
-  /// One watchdog pass: flag live jobs whose in-progress step (resp. held
-  /// lease) started more than the deadline ago. Parked and queued jobs
-  /// are legitimately idle and never flagged. Each job is flagged at most
-  /// once per kind; returns the number of *new* flags this pass. Every
-  /// new flag bumps crpd.watchdog.{step,lease}_stalls and drops a journal
-  /// instant event carrying the job id.
-  size_t watchdog_scan(u64 step_deadline_ns, u64 lease_deadline_ns);
-  u64 watchdog_flags() const { return flags_.load(std::memory_order_relaxed); }
-
   // --- Drain / export.
   struct JobTraceView {
     u64 trace = 0;
@@ -175,7 +137,7 @@ class JobTracer {
   /// Chrome trace_event JSON Array Format; lane (tid) = job id.
   std::string chrome_trace_json();
 
-  /// Drop archive, rings, live table, names, and flag count (tests).
+  /// Drop archive, rings and names (tests).
   void clear();
 
   static JobTracer& global();
@@ -186,21 +148,20 @@ class JobTracer {
   std::atomic<bool> armed_{false};
   std::atomic<u64> next_trace_{1};
   std::atomic<u64> next_seq_{1};
-  std::atomic<u64> flags_{0};
   NameTable names_{kMaxNames};
 
-  mutable std::mutex mu_;  // guards the archive, live_ and the ring set of spans_
+  mutable std::mutex mu_;  // guards the archive and the ring set of spans_
   std::map<std::pair<u64, u64>, std::vector<JobSpan>> archive_;
   std::deque<std::pair<u64, u64>> archive_fifo_;
   u64 dropped_ = 0;
-  std::map<u64, LiveJob> live_;
   // Last: destroyed first, so no exiting thread archives into a dead tracer.
   EventRing<JobSpan> spans_;
 };
 
-/// Thread-local job context, installed by the queue around a job's drive
-/// session so layers without a job handle (the ArtifactStore lease path)
-/// can attribute spans to the job that triggered them.
+/// Thread-local job context, installed by the queue around every drive
+/// session (trace 0 when the job is untraced or the tracer disarmed) so
+/// layers without a job handle — the ArtifactStore lease path — can
+/// attribute spans, and lease ownership, to the job that triggered them.
 struct TraceJobCtx {
   u64 trace = 0;
   u64 job = 0;

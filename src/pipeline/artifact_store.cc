@@ -227,7 +227,7 @@ bool ArtifactStore::lookup(const ArtifactKey& key, std::string* value) {
     // Probe the disk tier only when no writer (or disk reader) is in
     // flight for the key; take the lease so the read happens unlocked.
     if (sh.inflight.count(name) == 0) {
-      sh.inflight.insert(name);
+      take_lease_locked(sh, name);
       probe_disk = true;
     }
   }
@@ -272,13 +272,28 @@ Acquire ArtifactStore::acquire(const ArtifactKey& key, std::string* value) {
   u32 label = jt.intern(key.stage);
   if (waited)
     jt.record(ctx.trace, ctx.job, obs::SpanKind::kLeaseWait, label, kh, t0, t1);
-  if (a == Acquire::kOwner) {
+  if (a == Acquire::kOwner)
     jt.record(ctx.trace, ctx.job, obs::SpanKind::kLeaseAcquire, label, kh, t0, t1);
-    jt.lease_begin(ctx.trace, kh, key.stage);
-  } else if (a == Acquire::kHit) {
+  else if (a == Acquire::kHit)
     jt.record(ctx.trace, ctx.job, obs::SpanKind::kLeaseCoalesce, label, kh, t0, t1);
-  }
   return a;
+}
+
+void ArtifactStore::take_lease_locked(Shard& sh, const std::string& name) {
+  sh.inflight.emplace(name, Lease{obs::current_trace_job().job, obs::trace_now_ns()});
+}
+
+std::map<u64, u64> ArtifactStore::held_leases() const {
+  std::map<u64, u64> out;
+  for (const Shard& sh : shards_) {
+    std::lock_guard<std::mutex> lk(sh.mu);
+    for (const auto& [name, lease] : sh.inflight) {
+      if (lease.job == 0) continue;
+      auto [it, fresh] = out.emplace(lease.job, lease.since_ns);
+      if (!fresh) it->second = std::min(it->second, lease.since_ns);
+    }
+  }
+  return out;
 }
 
 Acquire ArtifactStore::acquire_impl(const ArtifactKey& key, std::string* value,
@@ -297,7 +312,7 @@ Acquire ArtifactStore::acquire_impl(const ArtifactKey& key, std::string* value,
     if (sh.inflight.count(name) == 0) {
       // No writer in flight: take the lease, then check the disk tier with
       // the shard unlocked (the lease keeps readers/writers single-file).
-      sh.inflight.insert(name);
+      take_lease_locked(sh, name);
       lk.unlock();
       std::string payload;
       bool found = disk_read(name, &payload);
@@ -334,15 +349,9 @@ Acquire ArtifactStore::acquire_impl(const ArtifactKey& key, std::string* value,
 void ArtifactStore::finish(const ArtifactKey& key, const std::string& value) {
   store(key, value);
   release_claim(key.str());
-  obs::JobTracer& jt = obs::JobTracer::global();
-  if (jt.armed()) jt.lease_end(obs::current_trace_job().trace);
 }
 
-void ArtifactStore::abort_claim(const ArtifactKey& key) {
-  release_claim(key.str());
-  obs::JobTracer& jt = obs::JobTracer::global();
-  if (jt.armed()) jt.lease_end(obs::current_trace_job().trace);
-}
+void ArtifactStore::abort_claim(const ArtifactKey& key) { release_claim(key.str()); }
 
 void ArtifactStore::release_claim(const std::string& name) {
   Shard& sh = shard_for(name);

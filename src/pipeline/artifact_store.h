@@ -23,7 +23,9 @@
 //     key: when N jobs race on the same cold artifact, exactly one
 //     computes while the rest block and are handed the finished value (a
 //     hit) — the "duplicate submission costs one computation" property the
-//     daemon advertises;
+//     daemon advertises. Each lease records which job took it and when
+//     (held_leases()), which is where the crpd stall watchdog reads lease
+//     ages;
 //   * hit/miss traffic is additionally attributed to the submitting tenant
 //     (ScopedCacheTenant, a thread-local) as
 //     `pipeline.cache.tenant.<t>.{hits,misses}`. Attribution is capped at
@@ -54,8 +56,8 @@
 #include <atomic>
 #include <condition_variable>
 #include <list>
+#include <map>
 #include <mutex>
-#include <set>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -161,6 +163,12 @@ class ArtifactStore {
   void finish(const ArtifactKey& key, const std::string& value);
   void abort_claim(const ArtifactKey& key);
 
+  /// When each job's oldest held lease was taken (obs::trace_now_ns),
+  /// keyed by the id of the job whose drive session took it
+  /// (obs::current_trace_job().job). Leases taken outside a job are not
+  /// listed. The JobQueue stall watchdog reads lease ages here.
+  std::map<u64, u64> held_leases() const;
+
   u64 hits() const { return hits_.load(std::memory_order_relaxed); }
   u64 misses() const { return misses_.load(std::memory_order_relaxed); }
   u64 stores() const { return stores_.load(std::memory_order_relaxed); }
@@ -188,11 +196,15 @@ class ArtifactStore {
   // chaos_mu_ are never taken with a shard lock held (disk I/O runs
   // unlocked under the key's inflight lease), and never shard -> shard.
   static constexpr size_t kShards = 16;
+  struct Lease {
+    u64 job = 0;  // obs::current_trace_job().job of the taker (0 = none)
+    u64 since_ns = 0;
+  };
   struct Shard {
     mutable std::mutex mu;
     std::condition_variable cv;  // signaled when a lease is released
     std::unordered_map<std::string, std::string> mem;
-    std::set<std::string> inflight;  // keys with an active writer lease
+    std::unordered_map<std::string, Lease> inflight;  // keys with an active lease
   };
 
   Shard& shard_for(const std::string& name);
@@ -207,6 +219,9 @@ class ArtifactStore {
   void disk_store(const std::string& name, const std::string& value);
   void count_hit();
   void count_miss();
+  /// Insert `name` into sh.inflight (shard lock held), stamped with the
+  /// calling thread's job and the current time.
+  static void take_lease_locked(Shard& sh, const std::string& name);
   void release_claim(const std::string& name);
 
   // --- disk LRU (guarded by disk_mu_) ---

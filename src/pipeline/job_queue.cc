@@ -1,6 +1,7 @@
 #include "pipeline/job_queue.h"
 
 #include "chaos/chaos.h"
+#include "obs/journal.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
 
@@ -96,6 +97,11 @@ JobResult JobQueue::snapshot(const Job& job) {
   r.priority = job.spec.priority;
   r.trace = job.spec.trace;
   r.run_ns = job.run_ns;
+  r.step = job.step;
+  r.step_since_ns = job.step_since_ns;
+  r.parked = job.state == JobState::kQueued && job.resume_pending;
+  r.step_stalled = job.step_stalled;
+  r.lease_stalled = job.lease_stalled;
   if (job_state_terminal(job.state)) {
     // Never-scheduled terminals (cancelled while queued) spent it all waiting.
     r.queue_ns = job.first_run_ns != 0 ? job.first_run_ns - job.submit_ns
@@ -178,6 +184,43 @@ std::vector<JobResult> JobQueue::list() const {
   return out;
 }
 
+size_t JobQueue::watchdog_pass(u64 step_deadline_ns, u64 lease_deadline_ns) {
+  // Lease ages live where the leases do. Read them before taking mu_ (the
+  // park path takes shard locks under it), and the clock after, so no
+  // age read below can be negative.
+  std::map<JobId, u64> leases = opts_.store->held_leases();
+  std::lock_guard<std::mutex> lk(mu_);
+  const u64 now = obs::trace_now_ns();
+  size_t fresh = 0;
+  auto flag = [&](JobId id, const char* counter, const char* instant) {
+    obs::Registry::global().counter(counter).inc();
+    obs::Journal::global().instant(instant, "crpd", now / 1000, 0, "job",
+                                   static_cast<i64>(id));
+    ++fresh;
+  };
+  for (auto& [id, job] : jobs_) {
+    if (job->state != JobState::kRunning) continue;
+    if (!job->step_stalled && job->step_since_ns != 0 &&
+        now - job->step_since_ns > step_deadline_ns) {
+      job->step_stalled = true;
+      flag(id, "crpd.watchdog.step_stalls", "watchdog.step_stall");
+    }
+    auto lease = leases.find(id);
+    if (!job->lease_stalled && lease != leases.end() &&
+        now - lease->second > lease_deadline_ns) {
+      job->lease_stalled = true;
+      flag(id, "crpd.watchdog.lease_stalls", "watchdog.lease_stall");
+    }
+  }
+  watchdog_flags_ += fresh;
+  return fresh;
+}
+
+u64 JobQueue::watchdog_flags() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return watchdog_flags_;
+}
+
 void JobQueue::enqueue_locked(Job* job) {
   queued_.insert({-job->spec.priority, job->seq, job->id});
 }
@@ -245,8 +288,6 @@ void JobQueue::finish_locked(std::unique_lock<std::mutex>& lk, Job* job,
     evict_terminal_locked();
   }
   cv_done_.notify_all();
-  obs::JobTracer& jt = obs::JobTracer::global();
-  if (jt.armed()) jt.job_finished(job->spec.trace);
   JobEvent ev;
   ev.id = job->id;
   ev.state = state;
@@ -282,17 +323,15 @@ void JobQueue::drive(std::unique_lock<std::mutex>& lk, Job* job) {
   // Install the job context for the whole drive session, so layers with
   // no job handle (the ArtifactStore lease path — including the park-path
   // abort inside cell->on_park and the cell destructor in finish_locked)
-  // attribute their spans to this job.
+  // attribute their spans and leases to this job.
   obs::ScopedTraceJob trace_ctx(traced ? tr : 0, job->id);
   const u64 session0 = obs::trace_now_ns();
   if (job->first_run_ns == 0) {
     job->first_run_ns = session0;
-    if (traced) {
-      jt.job_started(tr, job->id, job->spec.tenant, job->spec.target.id);
+    if (traced)
       jt.record(tr, job->id, obs::SpanKind::kQueueWait, 0,
                 static_cast<u64>(static_cast<i64>(job->spec.priority)),
                 job->submit_ns, session0);
-    }
   } else if (job->resume_pending) {
     job->resume_pending = false;
     if (traced)
@@ -324,7 +363,6 @@ void JobQueue::drive(std::unique_lock<std::mutex>& lk, Job* job) {
       if (traced) {
         u64 now = obs::trace_now_ns();
         jt.record(tr, job->id, obs::SpanKind::kPark, 0, preemptor, now, now);
-        jt.job_parked(tr);
       }
       obs::Registry::global().counter("crpd.jobs.preempted").inc();
       cv_work_.notify_all();
@@ -341,29 +379,28 @@ void JobQueue::drive(std::unique_lock<std::mutex>& lk, Job* job) {
       return;
     }
 
+    // Publish the step under the lock, so the watchdog and /jobs.json see
+    // which step runs since when. Planning only copies the spec and builds
+    // the step table, so it happens here too.
+    if (job->cell == nullptr) {
+      ArtifactStore* store = job->spec.opts.cache ? opts_.store : nullptr;
+      job->cell = plan_target(job->spec.opts, store, job->spec.target);
+    }
+    const size_t step_idx = job->cell->next_step();
+    const char* step = job->cell->step_name(step_idx);
+    const u64 step_t0 = obs::trace_now_ns();
+    job->step = step;
+    job->step_since_ns = step_t0;
     // The job is kRunning: no other thread touches its cell while we hold
     // no lock (cancel only sets a flag; status reads the counters we
     // update after relocking).
     lk.unlock();
     bool failed = false;
     std::string error;
-    const char* step = "";
-    u64 step_t0 = 0;
-    u64 step_idx = 0;
     try {
-      if (job->cell == nullptr) {
-        ArtifactStore* store =
-            job->spec.opts.cache ? opts_.store : nullptr;
-        job->cell = plan_target(job->spec.opts, store, job->spec.target);
-      }
-      size_t idx = job->cell->next_step();
-      step_idx = idx;
-      step = job->cell->step_name(idx);
-      step_t0 = obs::trace_now_ns();
-      if (traced) jt.step_begin(tr, step);
       // Deterministic salts + cache attribution derive from the job, not
       // from the worker that happens to run this step.
-      chaos::TaskScope chaos_scope(chaos::mix64(job->spec.seed, idx));
+      chaos::TaskScope chaos_scope(chaos::mix64(job->spec.seed, step_idx));
       ScopedCacheTenant tenant(job->spec.tenant);
       job->cell->run_step();
     } catch (const std::exception& e) {
@@ -373,13 +410,12 @@ void JobQueue::drive(std::unique_lock<std::mutex>& lk, Job* job) {
       failed = true;
       error = "unknown error";
     }
-    if (traced) {
-      jt.step_end(tr);
-      if (!failed)
-        jt.record(tr, job->id, obs::SpanKind::kStep, jt.intern(step), step_idx,
-                  step_t0, obs::trace_now_ns());
-    }
+    if (traced && !failed)
+      jt.record(tr, job->id, obs::SpanKind::kStep, jt.intern(step), step_idx, step_t0,
+                obs::trace_now_ns());
     lk.lock();
+    job->step = "";
+    job->step_since_ns = 0;
 
     if (failed) {
       job->error = error.empty() ? "error" : error;

@@ -34,6 +34,15 @@
 // an optional sink, called outside the queue lock; the daemon turns them
 // into WATCH streams. Telemetry: crpd.jobs.{submitted,done,failed,
 // cancelled,preempted} and the long-standing pipeline.campaign.targets_run.
+//
+// The job record is also the one answer to "what is this job doing now",
+// keyed by its unique id: the in-progress step and its start time, the
+// park state, and two once-per-job stall flags. watchdog_pass() — run
+// from the crpd tick — flags a running job whose step, or whose oldest
+// ArtifactStore lease (ages recorded by the store), is older than a
+// deadline, bumping crpd.watchdog.{step,lease}_stalls and dropping a
+// journal instant, so a stuck lease owner that blocks every same-key
+// waiter is detected, not just prevented where it was found.
 #pragma once
 
 #include <condition_variable>
@@ -118,6 +127,14 @@ struct JobResult {
   u64 queue_ns = 0;
   u64 run_ns = 0;
   u64 total_ns = 0;
+  // Watchdog view: the in-progress step ("" between steps) and when it
+  // started (obs::trace_now_ns; 0 = none), whether the job sits parked by
+  // preemption, and the stall flags watchdog_pass() set (kept once set).
+  std::string step;
+  u64 step_since_ns = 0;
+  bool parked = false;
+  bool step_stalled = false;
+  bool lease_stalled = false;
 };
 
 struct JobQueueOptions {
@@ -174,6 +191,16 @@ class JobQueue {
   /// Snapshot of every known job (active + retained terminal), id order.
   std::vector<JobResult> list() const;
 
+  /// One stall-watchdog pass: flag each running job whose in-progress
+  /// step (resp. oldest lease held in the queue's ArtifactStore) started
+  /// more than the deadline ago. Queued and parked jobs are idle by design
+  /// and never flagged; each job is flagged at most once per kind. Every
+  /// new flag bumps crpd.watchdog.{step,lease}_stalls and drops a journal
+  /// instant carrying the job id. Returns the number of new flags.
+  size_t watchdog_pass(u64 step_deadline_ns, u64 lease_deadline_ns);
+  /// Flags raised by every watchdog_pass() so far.
+  u64 watchdog_flags() const;
+
  private:
   struct Job {
     JobId id = 0;
@@ -193,6 +220,10 @@ class JobQueue {
     u64 run_ns = 0;        // accumulated on-worker time
     u64 total_ns = 0;      // set at terminal
     bool resume_pending = false;  // parked: emit a resume span next drive
+    const char* step = "";    // in-progress step (the cell's static name)
+    u64 step_since_ns = 0;    // 0 = no step in progress
+    bool step_stalled = false;
+    bool lease_stalled = false;
   };
 
   Job* find_locked(JobId id);
@@ -228,6 +259,7 @@ class JobQueue {
   std::deque<JobId> terminal_fifo_;
   JobId next_id_ = 1;
   u64 next_seq_ = 0;
+  u64 watchdog_flags_ = 0;
   bool stop_ = false;
   std::function<void(const JobEvent&)> sink_;
   std::vector<std::thread> workers_;

@@ -96,8 +96,8 @@ void Daemon::tick_loop() {
     if (tick_stop_) return;
     lk.unlock();
     if (opts_.watchdog)
-      obs::JobTracer::global().watchdog_scan(opts_.watchdog_step_deadline_ns,
-                                             opts_.watchdog_lease_deadline_ns);
+      queue_.watchdog_pass(opts_.watchdog_step_deadline_ns,
+                           opts_.watchdog_lease_deadline_ns);
     SocketServer::Stats st = server_.stats();
     if (st.accepted > pub_acc) {
       c_acc.inc(st.accepted - pub_acc);
@@ -207,8 +207,7 @@ void Daemon::handle_line(ConnId conn, const std::string& line) {
                      static_cast<unsigned long long>(st.stores()),
                      static_cast<unsigned long long>(st.evictions()),
                      depth.c_str(), queue_.retained_terminal(),
-                     static_cast<unsigned long long>(
-                         obs::JobTracer::global().watchdog_flags()))));
+                     static_cast<unsigned long long>(queue_.watchdog_flags()))));
   } else if (req.verb == "QUIT") {
     server_.close_conn(conn, /*after_flush=*/true);
   } else {
@@ -428,20 +427,13 @@ void Daemon::on_job_event(const pipeline::JobEvent& ev) {
 }
 
 std::string Daemon::jobs_json() {
-  obs::JobTracer& jt = obs::JobTracer::global();
-  std::map<u64, obs::JobTracer::LiveJob> live;
-  for (obs::JobTracer::LiveJob& lj : jt.live_jobs())
-    live.emplace(lj.trace, std::move(lj));
   std::string out = "{\n";
   out += strf("\"watchdog_flags\": %llu,\n\"jobs\": [",
-              static_cast<unsigned long long>(jt.watchdog_flags()));
+              static_cast<unsigned long long>(queue_.watchdog_flags()));
   bool first = true;
   for (const pipeline::JobResult& r : queue_.list()) {
     out += first ? "\n" : ",\n";
     first = false;
-    auto it = live.find(r.trace);
-    const obs::JobTracer::LiveJob* lj =
-        r.trace != 0 && it != live.end() ? &it->second : nullptr;
     out += strf(
         "{\"id\": %llu, \"state\": \"%s\", \"tenant\": \"%s\", "
         "\"target\": \"%s\", \"priority\": %d, \"trace\": %llu, "
@@ -451,13 +443,10 @@ std::string Daemon::jobs_json() {
         static_cast<unsigned long long>(r.id), pipeline::job_state_name(r.state),
         r.tenant.c_str(), r.target.c_str(), r.priority,
         static_cast<unsigned long long>(r.trace), r.steps_done, r.steps_total,
-        lj != nullptr ? lj->step.c_str() : "",
-        static_cast<unsigned long long>(r.queue_ns / 1'000'000),
+        r.step.c_str(), static_cast<unsigned long long>(r.queue_ns / 1'000'000),
         static_cast<unsigned long long>(r.run_ns / 1'000'000),
-        static_cast<unsigned long long>(r.total_ns / 1'000'000),
-        lj != nullptr && lj->parked ? 1 : 0,
-        lj != nullptr && lj->step_flagged ? 1 : 0,
-        lj != nullptr && lj->lease_flagged ? 1 : 0);
+        static_cast<unsigned long long>(r.total_ns / 1'000'000), r.parked ? 1 : 0,
+        r.step_stalled ? 1 : 0, r.lease_stalled ? 1 : 0);
   }
   out += "\n]\n}\n";
   return out;
@@ -465,14 +454,13 @@ std::string Daemon::jobs_json() {
 
 std::string Daemon::tenants_json() {
   obs::Registry& reg = obs::Registry::global();
-  obs::JobTracer& jt = obs::JobTracer::global();
   pipeline::ArtifactStore& st =
       opts_.store != nullptr ? *opts_.store : pipeline::ArtifactStore::global();
   SocketServer::Stats cs = server_.stats();
   std::string out = "{\n";
   out += strf("\"watchdog\": {\"flags\": %llu, \"step_stalls\": %llu, "
               "\"lease_stalls\": %llu},\n",
-              static_cast<unsigned long long>(jt.watchdog_flags()),
+              static_cast<unsigned long long>(queue_.watchdog_flags()),
               static_cast<unsigned long long>(
                   reg.counter("crpd.watchdog.step_stalls").value()),
               static_cast<unsigned long long>(

@@ -7,6 +7,7 @@
 #include "analysis/seh_analysis.h"
 #include "analysis/veh_scanner.h"
 #include "isa/assembler.h"
+#include "obs/obs.h"
 #include "os/kernel.h"
 #include "trace/tracer.h"
 
@@ -293,13 +294,21 @@ TEST(ApiFuzzer, FuzzAllIsJobCountInvariant) {
   os::Kernel k;
   k.winapi().generate_population(4242, 300, 1.0, 0.4);
   ApiFuzzer fuzzer;
+  // The batch's task count is gated as job-invariant too (benchdiff's
+  // analysis.pool.tasks), so the chunking must not follow the job count.
+  obs::Counter& tasks = obs::Registry::global().counter("analysis.pool.tasks");
+  u64 t0 = tasks.value();
   ApiFuzzResult serial = fuzzer.fuzz_all(k, 1);
+  u64 t1 = tasks.value();
   ApiFuzzResult parallel = fuzzer.fuzz_all(k, 4);
+  u64 t2 = tasks.value();
   EXPECT_EQ(serial.total_apis, parallel.total_apis);
   EXPECT_EQ(serial.with_pointer_args, parallel.with_pointer_args);
   EXPECT_EQ(serial.probes_executed, parallel.probes_executed);
   EXPECT_EQ(serial.crash_resistant, parallel.crash_resistant);
   EXPECT_FALSE(serial.crash_resistant.empty());
+  EXPECT_EQ(t2 - t1, t1 - t0);
+  EXPECT_GT(t1 - t0, 0u);
 }
 
 TEST(ApiFuzzer, SeparatesResistantFromFaulting) {

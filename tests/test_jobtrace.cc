@@ -1,12 +1,11 @@
 // crp::obs::JobTracer — the end-to-end job-trace layer: span determinism
-// across worker counts, the live-job table and stall watchdog, per-job
-// span budgets, and the JSON exports the daemon serves.
+// across worker counts, per-job span budgets, and the JSON exports the
+// daemon serves. (The stall watchdog reads the JobQueue's job records and
+// is tested with the queue, in test_pipeline.)
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -115,50 +114,6 @@ TEST(JobTracer, StartTraceNeverCollidesWithPinnedIds) {
   u64 pinned = jt.start_trace(777);
   EXPECT_EQ(pinned, 777u);
   for (int i = 0; i < 1000; ++i) EXPECT_NE(jt.start_trace(), 777u);
-}
-
-TEST(JobTracer, WatchdogFlagsSlowStepExactlyOnce) {
-  ArmedTracer armed;
-  JobTracer& jt = JobTracer::global();
-  jt.job_started(101, 42, "alice", "server/nginx_sim");
-  jt.step_begin(101, "syscall_scan");
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  // 1 ns deadline: the in-progress step is over it. Exactly one new flag,
-  // and a rescan flags nothing new.
-  EXPECT_EQ(jt.watchdog_scan(/*step=*/1, /*lease=*/u64{1} << 62), 1u);
-  EXPECT_EQ(jt.watchdog_scan(1, u64{1} << 62), 0u);
-  EXPECT_EQ(jt.watchdog_flags(), 1u);
-  // A finished step is no longer stall-checked; a fresh one can flag again
-  // on the *lease* axis but the step axis stays once-per-job.
-  jt.step_end(101);
-  EXPECT_EQ(jt.watchdog_scan(1, u64{1} << 62), 0u);
-  jt.job_finished(101);
-  EXPECT_TRUE(jt.live_jobs().empty());
-}
-
-TEST(JobTracer, WatchdogFlagsHeldLeaseButNeverParkedJobs) {
-  ArmedTracer armed;
-  JobTracer& jt = JobTracer::global();
-  jt.job_started(201, 1, "bob", "server/nginx_sim");
-  jt.lease_begin(201, 0xabcd, "syscall_scan");
-  jt.job_started(202, 2, "carol", "server/nginx_sim");
-  jt.job_parked(202);  // parked jobs are legitimately idle
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  EXPECT_EQ(jt.watchdog_scan(u64{1} << 62, /*lease=*/1), 1u);
-  EXPECT_EQ(jt.watchdog_scan(u64{1} << 62, 1), 0u);
-  std::vector<JobTracer::LiveJob> live = jt.live_jobs();
-  ASSERT_EQ(live.size(), 2u);
-  for (const JobTracer::LiveJob& lj : live) {
-    if (lj.trace == 201) EXPECT_TRUE(lj.lease_flagged);
-    if (lj.trace == 202) {
-      EXPECT_TRUE(lj.parked);
-      EXPECT_FALSE(lj.lease_flagged);
-      EXPECT_FALSE(lj.step_flagged);
-    }
-  }
-  // Releasing the lease ends the exposure.
-  jt.lease_end(201);
-  EXPECT_EQ(jt.watchdog_scan(u64{1} << 62, 1), 0u);
 }
 
 TEST(JobTracer, PerJobSpanBudgetDropsAndCounts) {

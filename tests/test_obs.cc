@@ -186,6 +186,13 @@ TEST(Registry, ConcurrentGetOrCreate) {
   EXPECT_EQ(r.counter("same.name").value(), 800u);
 }
 
+/// Registry::json() read back through the reader benchdiff and crptop use.
+expo::BenchDoc read_back(const Registry& r) {
+  expo::BenchDoc doc;
+  EXPECT_TRUE(expo::parse_bench_json(r.json(), &doc));
+  return doc;
+}
+
 TEST(Registry, JsonRoundTrip) {
   Registry r;
   r.counter("a.count").inc(42);
@@ -193,19 +200,18 @@ TEST(Registry, JsonRoundTrip) {
   Histogram& h = r.histogram("c.hist");
   for (u64 v = 1; v <= 100; ++v) h.record(v);
 
-  std::string j = r.json();
-  double v = 0;
-  ASSERT_TRUE(json_number(j, "a.count", &v));
-  EXPECT_DOUBLE_EQ(v, 42.0);
-  ASSERT_TRUE(json_number(j, "b.gauge", &v));
-  EXPECT_DOUBLE_EQ(v, -5.0);
-  ASSERT_TRUE(json_number(j, "c.hist/count", &v));
-  EXPECT_DOUBLE_EQ(v, 100.0);
-  ASSERT_TRUE(json_number(j, "c.hist/sum", &v));
-  EXPECT_DOUBLE_EQ(v, 5050.0);
-  ASSERT_TRUE(json_number(j, "c.hist/p50", &v));
-  EXPECT_NEAR(v, 50.0, 13.0);
-  EXPECT_FALSE(json_number(j, "missing", &v));
+  expo::BenchDoc doc = read_back(r);
+  ASSERT_TRUE(doc.has("a.count"));
+  EXPECT_DOUBLE_EQ(doc.get("a.count"), 42.0);
+  ASSERT_TRUE(doc.has("b.gauge"));
+  EXPECT_DOUBLE_EQ(doc.get("b.gauge"), -5.0);
+  ASSERT_TRUE(doc.has("c.hist/count"));
+  EXPECT_DOUBLE_EQ(doc.get("c.hist/count"), 100.0);
+  ASSERT_TRUE(doc.has("c.hist/sum"));
+  EXPECT_DOUBLE_EQ(doc.get("c.hist/sum"), 5050.0);
+  ASSERT_TRUE(doc.has("c.hist/p50"));
+  EXPECT_NEAR(doc.get("c.hist/p50"), 50.0, 13.0);
+  EXPECT_FALSE(doc.has("missing"));
 }
 
 TEST(Registry, JsonEscapesControlCharacters) {
@@ -226,15 +232,23 @@ TEST(Registry, JsonEscapesControlCharacters) {
   EXPECT_NE(j.find("nul\\u0001byte"), std::string::npos);
   // No raw control byte may survive into the serialized document.
   for (char c : j) EXPECT_FALSE(static_cast<unsigned char>(c) < 0x20 && c != '\n');
+  // ...and the reader restores every name byte for byte.
+  expo::BenchDoc doc = read_back(r);
+  EXPECT_DOUBLE_EQ(doc.get("with\"quote"), 1.0);
+  EXPECT_DOUBLE_EQ(doc.get("with\\backslash"), 2.0);
+  EXPECT_DOUBLE_EQ(doc.get("tab\there"), 3.0);
+  EXPECT_DOUBLE_EQ(doc.get("newline\nhere"), 4.0);
+  EXPECT_DOUBLE_EQ(doc.get(std::string("nul\x01") + "byte"), 5.0);
 }
 
 TEST(Registry, JsonEscapedNamesStillQueryable) {
   Registry r;
   r.counter("weird\tname").inc(9);
-  double v = 0;
-  // json_number escapes the key the same way, so lookups keep working.
-  ASSERT_TRUE(json_number(r.json(), "weird\tname", &v));
-  EXPECT_DOUBLE_EQ(v, 9.0);
+  // The reader decodes the escapes json_escape wrote, so lookups by the
+  // raw name keep working.
+  expo::BenchDoc doc = read_back(r);
+  ASSERT_TRUE(doc.has("weird\tname"));
+  EXPECT_DOUBLE_EQ(doc.get("weird\tname"), 9.0);
 }
 
 TEST(Registry, GlobalIsSingleton) {
@@ -349,6 +363,13 @@ TEST(Expo, ParseBenchJsonRoundTrip) {
 
   expo::BenchDoc bad;
   EXPECT_FALSE(expo::parse_bench_json("not json at all", &bad));
+  // Escapes json_escape never writes (unknown, cut, non-hex, non-ASCII)
+  // are malformed, not guessed at.
+  EXPECT_FALSE(expo::parse_bench_json("{\"a\\q\": 1}", &bad));
+  EXPECT_FALSE(expo::parse_bench_json("{\"a\\u00\": 1}", &bad));
+  EXPECT_FALSE(expo::parse_bench_json("{\"a\\u00zz\": 1}", &bad));
+  EXPECT_FALSE(expo::parse_bench_json("{\"a\\u00e9\": 1}", &bad));
+  EXPECT_FALSE(expo::parse_bench_json("{\"a\\", &bad));
 }
 
 TEST(ScopedTimerTest, RecordsOneSample) {

@@ -6,6 +6,7 @@
 // Windows-side tables rendered from run_target reports.
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <cstring>
@@ -15,6 +16,7 @@
 #include <mutex>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -791,6 +793,253 @@ TEST(JobQueue, ConcurrentIdenticalClassifyJobsComputeOnce) {
   EXPECT_EQ(store.misses(), 1u);
   EXPECT_EQ(store.hits(), 1u);
   EXPECT_EQ(store.stores(), 1u);
+}
+
+// --- stall watchdog (JobQueue::watchdog_pass) --------------------------------
+
+constexpr u64 kNever = u64{1} << 62;  // a deadline no test run reaches
+
+/// A worker queue whose jobs can be held open for the watchdog. A spec from
+/// gated() blocks inside its first step (taint_trace, in make_program)
+/// until open_gate(), then fails without scanning. hold_after_step_one()
+/// stops the first job to finish step 1 inside the event sink (on its
+/// worker, outside the queue lock) until release(): a server job is then
+/// between taint_trace and verify, holding the scan's store lease. The
+/// destructor opens everything before the queue joins its workers, so a
+/// failed assertion cannot hang the test.
+struct WatchdogRig {
+  explicit WatchdogRig(int workers) : q(JobQueueOptions{workers, &store}) {}
+  ~WatchdogRig() {
+    open_gate(0);
+    open_gate(1);
+    release();
+  }
+
+  TargetSpec gated(TargetSpec spec, int gate = 0) {
+    spec.make_program = [this, gate]() -> analysis::TargetProgram {
+      std::unique_lock<std::mutex> lk(mu);
+      cv.wait(lk, [&] { return gate_open[gate]; });
+      throw std::runtime_error("gate opened");
+    };
+    return spec;
+  }
+  void open_gate(int gate) { set(&gate_open[gate]); }
+
+  void hold_after_step_one() {
+    q.set_event_sink([this](const JobEvent& ev) {
+      if (ev.state != JobState::kRunning || ev.step != 1) return;
+      std::unique_lock<std::mutex> lk(mu);
+      if (held != 0) return;  // later jobs' step-1 events pass through
+      held = ev.id;
+      cv.notify_all();
+      cv.wait(lk, [&] { return released; });
+    });
+  }
+  /// The id of the job held in the sink (0 if none arrived in time).
+  JobId await_held() {
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait_for(lk, std::chrono::minutes(5), [&] { return held != 0; });
+    return held;
+  }
+  void release() { set(&released); }
+
+  /// Poll job `id` until `pred` holds (bounded; the caller asserts).
+  template <typename Pred>
+  JobResult await(JobId id, Pred pred) {
+    JobResult r = q.status(id);
+    for (int i = 0; i < 60000 && !pred(r); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      r = q.status(id);
+    }
+    return r;
+  }
+
+  void set(bool* flag) {
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      *flag = true;
+    }
+    cv.notify_all();
+  }
+
+  ArtifactStore store;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool gate_open[2] = {};
+  JobId held = 0;
+  bool released = false;
+  JobQueue q;  // last: its workers are joined before the state above dies
+};
+
+bool in_step(const JobResult& r) { return !r.step.empty(); }
+
+i64 stalls_since(const obs::Snapshot& before, const char* counter) {
+  return obs::Registry::diff(before, obs::Registry::global().snapshot()).num(counter);
+}
+
+TEST(JobQueue, WatchdogFlagsAStepHeldOpenExactlyOnce) {
+  WatchdogRig rig(1);
+  JobSpec js;
+  js.target = rig.gated(nginx_spec());
+  JobId id = rig.q.submit(std::move(js));
+  JobResult r = rig.await(id, in_step);
+  ASSERT_EQ(r.step, "taint_trace");
+  EXPECT_NE(r.step_since_ns, 0u);
+  EXPECT_FALSE(r.step_stalled);
+  obs::Snapshot before = obs::Registry::global().snapshot();
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  // 1 ns step deadline: the open step is over it. Exactly one new flag,
+  // and a rescan flags nothing new.
+  EXPECT_EQ(rig.q.watchdog_pass(1, kNever), 1u);
+  EXPECT_EQ(rig.q.watchdog_pass(1, kNever), 0u);
+  EXPECT_EQ(rig.q.watchdog_flags(), 1u);
+  EXPECT_EQ(stalls_since(before, "crpd.watchdog.step_stalls"), 1);
+  r = rig.q.status(id);
+  EXPECT_TRUE(r.step_stalled);
+  EXPECT_FALSE(r.lease_stalled);
+  // A finished job has no step in progress and is not scanned any more.
+  rig.open_gate(0);
+  r = rig.q.wait(id);
+  EXPECT_EQ(r.state, JobState::kFailed);
+  EXPECT_EQ(r.step, "");
+  EXPECT_EQ(r.step_since_ns, 0u);
+  EXPECT_EQ(rig.q.watchdog_pass(1, 1), 0u);
+  EXPECT_EQ(rig.q.watchdog_flags(), 1u);
+}
+
+TEST(JobQueue, WatchdogFlagsALeaseHeldBetweenSteps) {
+  // The §IV-A scan holds one store lease from taint_trace to verify. A job
+  // stopped between those steps runs no step, so even a 1 ns step
+  // deadline leaves it alone, but its lease is over the lease deadline.
+  WatchdogRig rig(1);
+  rig.hold_after_step_one();
+  JobSpec js;
+  js.target = nginx_spec();
+  JobId id = rig.q.submit(std::move(js));
+  ASSERT_EQ(rig.await_held(), id);
+  obs::Snapshot before = obs::Registry::global().snapshot();
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  EXPECT_EQ(rig.q.watchdog_pass(1, 1), 1u);
+  EXPECT_EQ(rig.q.watchdog_pass(1, 1), 0u);
+  EXPECT_EQ(stalls_since(before, "crpd.watchdog.lease_stalls"), 1);
+  EXPECT_EQ(stalls_since(before, "crpd.watchdog.step_stalls"), 0);
+  JobResult r = rig.q.status(id);
+  EXPECT_EQ(r.state, JobState::kRunning);
+  EXPECT_EQ(r.step, "");
+  EXPECT_TRUE(r.lease_stalled);
+  EXPECT_FALSE(r.step_stalled);
+  // Verify publishes the scan and drops the lease: nothing left to flag.
+  rig.release();
+  EXPECT_EQ(rig.q.wait(id).state, JobState::kDone);
+  EXPECT_EQ(rig.q.watchdog_pass(1, 1), 0u);
+}
+
+TEST(JobQueue, WatchdogNeverFlagsAParkedJob) {
+  // One worker: the lease-holding scan is held between taint_trace and
+  // verify, a higher-priority job arrives, and the scan parks at its next
+  // step boundary (releasing the lease) while the arrival sits in its
+  // first step. Only the arrival can be flagged.
+  WatchdogRig rig(1);
+  rig.hold_after_step_one();
+  JobSpec low;
+  low.target = nginx_spec();
+  JobId low_id = rig.q.submit(std::move(low));
+  ASSERT_EQ(rig.await_held(), low_id);
+  JobSpec high;
+  high.target = rig.gated(nginx_spec());
+  high.priority = 1;
+  JobId high_id = rig.q.submit(std::move(high));
+  rig.release();
+  ASSERT_EQ(rig.await(high_id, in_step).step, "taint_trace");
+  JobResult parked = rig.await(low_id, [](const JobResult& r) { return r.parked; });
+  ASSERT_TRUE(parked.parked);
+  EXPECT_EQ(parked.state, JobState::kQueued);
+  EXPECT_TRUE(rig.store.held_leases().empty());
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  EXPECT_EQ(rig.q.watchdog_pass(1, 1), 1u);
+  parked = rig.q.status(low_id);
+  EXPECT_FALSE(parked.step_stalled);
+  EXPECT_FALSE(parked.lease_stalled);
+  EXPECT_TRUE(rig.q.status(high_id).step_stalled);
+  // The arrival fails at the gate; the parked scan resumes and finishes.
+  rig.open_gate(0);
+  EXPECT_EQ(rig.q.wait(high_id).state, JobState::kFailed);
+  JobResult done = rig.q.wait(low_id);
+  EXPECT_EQ(done.state, JobState::kDone);
+  EXPECT_FALSE(done.parked);
+}
+
+TEST(JobQueue, JobsSharingAPinnedTraceAreWatchedSeparately) {
+  // `crpc swarm --trace` pins one trace on every duplicate, so a trace id
+  // is no job identity. Two cache-off jobs share trace 555; nginx_sim
+  // finishes first while memcached_sim is still in its first step, which
+  // must still be reported and flagged under its own job id.
+  WatchdogRig rig(2);
+  JobSpec a;
+  a.target = rig.gated(registered("server/nginx_sim"), 0);
+  a.opts.cache = false;
+  a.trace = 555;
+  JobSpec b = a;
+  b.target = rig.gated(registered("server/memcached_sim"), 1);
+  JobId a_id = rig.q.submit(std::move(a));
+  JobId b_id = rig.q.submit(std::move(b));
+  ASSERT_EQ(rig.await(a_id, in_step).step, "taint_trace");
+  ASSERT_EQ(rig.await(b_id, in_step).step, "taint_trace");
+  obs::Snapshot before = obs::Registry::global().snapshot();
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  EXPECT_EQ(rig.q.watchdog_pass(1, kNever), 2u);
+  rig.open_gate(0);
+  EXPECT_EQ(rig.q.wait(a_id).state, JobState::kFailed);
+  JobResult rb = rig.q.status(b_id);
+  EXPECT_EQ(rb.trace, 555u);
+  EXPECT_EQ(rb.state, JobState::kRunning);
+  EXPECT_EQ(rb.step, "taint_trace");
+  EXPECT_TRUE(rb.step_stalled);
+  EXPECT_EQ(rig.q.watchdog_pass(1, kNever), 0u);
+  EXPECT_EQ(stalls_since(before, "crpd.watchdog.step_stalls"), 2);
+  rig.open_gate(1);
+  EXPECT_EQ(rig.q.wait(b_id).state, JobState::kFailed);
+}
+
+TEST(JobQueue, OnlyTheLeaseOwnerOfASameKeyPairIsLeaseFlagged) {
+  // Two identical scans share one pinned trace and one store key. The
+  // owner is held between taint_trace and verify with the lease; the
+  // other job blocks in acquire() behind it, holding none.
+  std::atomic<bool> built{false};  // outlives the rig's workers
+  WatchdogRig rig(2);
+  rig.hold_after_step_one();
+  JobSpec js;
+  js.target = nginx_spec();
+  js.trace = 555;
+  JobId owner = rig.q.submit(js);
+  ASSERT_EQ(rig.await_held(), owner);
+  js.target.make_program = [&built, inner = js.target.make_program] {
+    analysis::TargetProgram prog = inner();
+    built = true;  // next: hash the images, then block in acquire()
+    return prog;
+  };
+  JobId waiter = rig.q.submit(js);
+  for (int i = 0; i < 60000 && !built; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_TRUE(built);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  obs::Snapshot before = obs::Registry::global().snapshot();
+  EXPECT_EQ(rig.q.watchdog_pass(kNever, 1), 1u);
+  EXPECT_EQ(stalls_since(before, "crpd.watchdog.lease_stalls"), 1);
+  JobResult ro = rig.q.status(owner);
+  JobResult rw = rig.q.status(waiter);
+  EXPECT_TRUE(ro.lease_stalled);
+  EXPECT_FALSE(rw.lease_stalled);
+  EXPECT_EQ(rw.step, "taint_trace");
+  EXPECT_EQ(ro.trace, rw.trace);
+  // The owner publishes; the waiter wakes with a hit.
+  rig.release();
+  ro = rig.q.wait(owner);
+  rw = rig.q.wait(waiter);
+  ASSERT_EQ(ro.state, JobState::kDone);
+  ASSERT_EQ(rw.state, JobState::kDone);
+  EXPECT_TRUE(rw.report.cache_hit);
+  EXPECT_EQ(render_report(rw.report, false), render_report(ro.report, false));
 }
 
 // --- paper tables (Tables II/III, §V-B, §V-C) through run_target -----------

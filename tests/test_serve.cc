@@ -12,8 +12,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -592,33 +596,63 @@ TEST(Daemon, JobsAndTenantsRoutesLiveAndDieWithTheDaemon) {
   EXPECT_EQ(obs::serve::respond("/tenants.json").status, 404);
 }
 
-TEST(Daemon, WatchdogTickFlagsPlantedStallExactlyOnce) {
+TEST(Daemon, WatchdogTickFlagsAStalledJobExactlyOnce) {
+  // A real job held open inside its first step (make_program waits on a
+  // gate): the daemon's own tick thread must flag it within a deadline
+  // period, exactly once; repeated ticks stay quiet.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool open = false;
+  auto open_gate = [&] {
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      open = true;
+    }
+    cv.notify_all();
+  };
   pipeline::ArtifactStore store;
   DaemonOptions o;
-  o.workers = 0;
+  o.workers = 1;
   o.store = &store;
   o.watchdog_step_deadline_ns = 1;  // any in-progress step is "stuck"
   o.tick_ms = 10;
   Daemon daemon(o);
-  obs::JobTracer& jt = obs::JobTracer::global();
-  jt.clear();
+  // Declared after the daemon: opens the gate before its worker is joined,
+  // so a failed assertion cannot hang the test.
+  struct OpenOnExit {
+    std::function<void()> open;
+    ~OpenOnExit() { open(); }
+  } open_on_exit{open_gate};
   ASSERT_TRUE(daemon.start());
-  // Plant a job stuck mid-step; the daemon's own tick thread must flag it
-  // within a deadline period — exactly once, repeated scans stay quiet.
-  jt.job_started(999, 7, "alice", "server/nginx_sim");
-  jt.step_begin(999, "syscall_scan");
-  for (int i = 0; i < 400 && jt.watchdog_flags() == 0; ++i)
+  pipeline::JobSpec js;
+  js.target = *daemon.registry().find("server/nginx_sim");
+  js.target.make_program = [&]() -> analysis::TargetProgram {
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&] { return open; });
+    throw std::runtime_error("gate opened");
+  };
+  js.tenant = "alice";
+  pipeline::JobQueue& q = daemon.queue();
+  pipeline::JobId id = q.submit(std::move(js));
+  for (int i = 0; i < 400 && q.watchdog_flags() == 0; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_EQ(jt.watchdog_flags(), 1u);
+  EXPECT_EQ(q.watchdog_flags(), 1u);
   std::this_thread::sleep_for(std::chrono::milliseconds(30));  // more ticks
-  EXPECT_EQ(jt.watchdog_flags(), 1u);
+  EXPECT_EQ(q.watchdog_flags(), 1u);
+  pipeline::JobResult r = q.status(id);
+  EXPECT_EQ(r.step, "taint_trace");
+  EXPECT_TRUE(r.step_stalled);
   Client c;
   ASSERT_TRUE(c.connect(daemon.port()));
   std::string reply;
   ASSERT_TRUE(c.request("STATS", &reply));
   EXPECT_NE(reply.find(" watchdog=1"), std::string::npos) << reply;
-  jt.job_finished(999);
-  jt.clear();
+  obs::serve::Response jobs = obs::serve::respond("/jobs.json");
+  EXPECT_NE(jobs.body.find("\"watchdog_flags\": 1,"), std::string::npos) << jobs.body;
+  EXPECT_NE(jobs.body.find("\"step\": \"taint_trace\""), std::string::npos) << jobs.body;
+  EXPECT_NE(jobs.body.find("\"step_stalled\": 1"), std::string::npos) << jobs.body;
+  open_gate();
+  EXPECT_EQ(q.wait(id).state, pipeline::JobState::kFailed);
 }
 
 TEST(SocketServer, OverflowingOutBufferDropsConnAndCounts) {
