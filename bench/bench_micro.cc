@@ -2,6 +2,11 @@
 // throughput, taint-tracking overhead, SEH dispatch cost, SAT solving,
 // symbolic filter classification, image (de)serialization, and end-to-end
 // oracle probe latency.
+//
+// Every benchmark runs a fixed iteration count (each about 0.1-0.3 s on a
+// 4-core RelWithDebInfo build), not google-benchmark's time-based one, so
+// the counters in BENCH_micro.json (vm.instr_retired, analysis.pool.tasks)
+// follow the code rather than the host's speed and benchdiff can gate them.
 
 #include <benchmark/benchmark.h>
 
@@ -55,7 +60,7 @@ void BM_InterpreterThroughput(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) * 10000);
 }
-BENCHMARK(BM_InterpreterThroughput);
+BENCHMARK(BM_InterpreterThroughput)->Iterations(8000);
 
 // The documented-overhead pair: identical interpreter loop with metric
 // recording on vs off (the runtime kill switch).
@@ -73,7 +78,7 @@ void BM_StepObsOn(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) * 10000);
 }
-BENCHMARK(BM_StepObsOn);
+BENCHMARK(BM_StepObsOn)->Iterations(8000);
 
 void BM_StepObsOff(benchmark::State& state) {
   obs::set_runtime_enabled(false);
@@ -90,7 +95,7 @@ void BM_StepObsOff(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) * 10000);
   obs::set_runtime_enabled(true);
 }
-BENCHMARK(BM_StepObsOff);
+BENCHMARK(BM_StepObsOff)->Iterations(8000);
 
 void BM_InterpreterWithTaint(benchmark::State& state) {
   os::Kernel k;
@@ -103,7 +108,7 @@ void BM_InterpreterWithTaint(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) * 10000);
 }
-BENCHMARK(BM_InterpreterWithTaint);
+BENCHMARK(BM_InterpreterWithTaint)->Iterations(2000);
 
 void BM_SehDispatchHandledAv(benchmark::State& state) {
   // One guarded faulting load, handled by a catch-all scope, in a loop.
@@ -132,7 +137,7 @@ void BM_SehDispatchHandledAv(benchmark::State& state) {
   state.SetItemsProcessed(
       static_cast<i64>(m.exception_stats().handled_seh));
 }
-BENCHMARK(BM_SehDispatchHandledAv);
+BENCHMARK(BM_SehDispatchHandledAv)->Iterations(100);
 
 void BM_SatSmallBitvector(benchmark::State& state) {
   for (auto _ : state) {
@@ -143,7 +148,7 @@ void BM_SatSmallBitvector(benchmark::State& state) {
     benchmark::DoNotOptimize(s.check());
   }
 }
-BENCHMARK(BM_SatSmallBitvector);
+BENCHMARK(BM_SatSmallBitvector)->Iterations(1000);
 
 void BM_FilterClassification(benchmark::State& state) {
   targets::DllSpec spec{"bench", isa::Machine::kX64, 30, 12, 0, 20, 10};
@@ -156,7 +161,7 @@ void BM_FilterClassification(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) * 20);
 }
-BENCHMARK(BM_FilterClassification);
+BENCHMARK(BM_FilterClassification)->Iterations(50);
 
 void BM_ImageRoundTrip(benchmark::State& state) {
   targets::DllSpec spec{"bench", isa::Machine::kX64, 60, 20, 0, 40, 15};
@@ -168,7 +173,7 @@ void BM_ImageRoundTrip(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
                           static_cast<i64>(bytes.size()));
 }
-BENCHMARK(BM_ImageRoundTrip);
+BENCHMARK(BM_ImageRoundTrip)->Iterations(8000);
 
 void BM_OracleProbeIe(benchmark::State& state) {
   os::Kernel k;
@@ -181,7 +186,7 @@ void BM_OracleProbeIe(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<i64>(state.iterations()));
 }
-BENCHMARK(BM_OracleProbeIe);
+BENCHMARK(BM_OracleProbeIe)->Iterations(40000);
 
 void BM_KernelSyscallPath(benchmark::State& state) {
   Assembler a("sys");
@@ -200,7 +205,7 @@ void BM_KernelSyscallPath(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) * 1000);
 }
-BENCHMARK(BM_KernelSyscallPath);
+BENCHMARK(BM_KernelSyscallPath)->Iterations(5000);
 
 }  // namespace
 

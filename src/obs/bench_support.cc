@@ -170,9 +170,8 @@ void BenchSession::flush() {
     std::string folded_path = out_dir() + "PROF_" + name_ + ".folded";
     std::ofstream ff(folded_path);
     if (ff) ff << prof.collapsed();
-    std::fprintf(stderr, "[obs] profile: %s (%llu samples, %llu dropped)\n",
-                 prof_path.c_str(), static_cast<unsigned long long>(prof.samples()),
-                 static_cast<unsigned long long>(prof.dropped()));
+    std::fprintf(stderr, "[obs] profile: %s (%llu samples)\n", prof_path.c_str(),
+                 static_cast<unsigned long long>(prof.samples()));
   }
   if (wrote)
     std::fprintf(stderr, "[obs] metrics snapshot: %s%s\n", metrics_path().c_str(),

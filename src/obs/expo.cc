@@ -65,48 +65,6 @@ std::string prometheus_text(const Snapshot& snap, const std::string& prefix) {
   return out;
 }
 
-std::string json(const Snapshot& snap) {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [name, v] : snap.values) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n  \"" + json_escape(name) + "\": ";
-    switch (v.kind) {
-      case MetricKind::kCounter:
-      case MetricKind::kGauge:
-        out += strf("{\"kind\":\"%s\",\"value\":%lld}", prom_kind(v.kind),
-                    static_cast<long long>(v.num));
-        break;
-      case MetricKind::kHistogram: {
-        out += strf(
-            "{\"kind\":\"histogram\",\"count\":%llu,\"sum\":%llu,\"min\":%llu,"
-            "\"max\":%llu,\"p50\":%llu,\"p95\":%llu,\"p99\":%llu,\"buckets\":[",
-            static_cast<unsigned long long>(v.hist.count),
-            static_cast<unsigned long long>(v.hist.sum),
-            static_cast<unsigned long long>(v.hist.min),
-            static_cast<unsigned long long>(v.hist.max),
-            static_cast<unsigned long long>(v.hist.quantile(0.50)),
-            static_cast<unsigned long long>(v.hist.quantile(0.95)),
-            static_cast<unsigned long long>(v.hist.quantile(0.99)));
-        bool bf = true;
-        for (const auto& [idx, n] : v.hist.buckets) {
-          if (!bf) out += ",";
-          bf = false;
-          out += strf("[%u,%llu,%llu,%llu]", idx,
-                      static_cast<unsigned long long>(Histogram::bucket_lo(idx)),
-                      static_cast<unsigned long long>(Histogram::bucket_hi(idx)),
-                      static_cast<unsigned long long>(n));
-        }
-        out += "]}";
-        break;
-      }
-    }
-  }
-  out += "\n}";
-  return out;
-}
-
 // --- parse_bench_json --------------------------------------------------------
 
 double BenchDoc::get(const std::string& key, double fallback) const {

@@ -1,14 +1,9 @@
 // crp::obs::expo — metrics exposition and bench-snapshot parsing.
 //
-// Turns a Registry Snapshot into the two interchange formats the tooling
-// around the repo consumes:
-//   * Prometheus text exposition format (one # TYPE line per metric,
-//     histograms as cumulative _bucket{le=...}/_sum/_count series with the
-//     log-bucket boundaries of obs::Histogram) — scrape-ready, and written
-//     at process exit when CRP_METRICS=path is set;
-//   * a JSON snapshot that, unlike Registry::json(), carries the full
-//     histogram bucket layout (index, [lo, hi) boundary, count) so external
-//     tools can re-estimate quantiles.
+// Turns a Registry Snapshot into Prometheus text exposition format (one
+// # TYPE line per metric, histograms as cumulative _bucket{le=...}/_sum/
+// _count series with the log-bucket boundaries of obs::Histogram) —
+// scrape-ready, and written at process exit when CRP_METRICS=path is set.
 //
 // The reverse direction lives here too: parse_bench_json() reads the
 // BENCH_<name>.json files BenchSession writes, and its pieces read the
@@ -30,10 +25,6 @@ namespace crp::obs::expo {
 /// Histogram buckets are emitted cumulatively for every nonzero bucket's
 /// upper boundary plus +Inf (a valid, if sparse, le series).
 std::string prometheus_text(const Snapshot& snap, const std::string& prefix = "crp");
-
-/// JSON object: {"name": {"kind":...,...}, ...} with full bucket boundaries
-/// for histograms. Keys sorted (Snapshot map order), line-diffable.
-std::string json(const Snapshot& snap);
 
 /// One parsed BENCH_<name>.json document. `flat` maps metric names to
 /// values; histogram fields are keyed "name/field" ("sat.solve_ns/count",

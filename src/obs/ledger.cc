@@ -56,18 +56,6 @@ bool ledger_stage_from_name(std::string_view s, LedgerStage* out) {
 
 // --- Ledger ------------------------------------------------------------------
 
-namespace {
-constexpr size_t kArchiveCap = 1 << 20;  // 32 MiB of records, then drop+count
-}  // namespace
-
-Ledger::Ledger(size_t ring_capacity)
-    : events_(mu_, ring_capacity, [this](const ProbeEvent& e) {
-        if (archive_.size() < kArchiveCap)
-          archive_.push_back(e);
-        else
-          ++archive_dropped_;
-      }) {}
-
 void Ledger::record(LedgerStage stage, ProbeOutcome outcome, u32 primitive, u32 target,
                     u64 addr, u64 ts_ns) {
   if (!detail::recording()) return;
@@ -83,16 +71,26 @@ void Ledger::record(LedgerStage stage, ProbeOutcome outcome, u32 primitive, u32 
   ev.target = target;
   ev.outcome = static_cast<u8>(oc);
   ev.stage = static_cast<u8>(st);
-  events_.push(ev, [](ProbeEvent& e, u64 n) { e.seq = static_cast<u32>(n); });
-  // Tallies are exact even when the ring drops: the audit substrate.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (archive_.size() < kArchiveCap) {
+      ev.seq = static_cast<u32>(archive_.size());
+      archive_.push_back(ev);
+    } else {
+      ++dropped_;
+    }
+  }
+  // Tallies are exact even when the archive drops: the audit substrate.
   prim_tallies_[primitive][st][oc].fetch_add(1, std::memory_order_relaxed);
   stage_tallies_[st][oc].fetch_add(1, std::memory_order_relaxed);
 }
 
-std::vector<ProbeEvent> Ledger::snapshot() {
-  std::lock_guard<std::mutex> lock(mu_);
-  events_.drain_locked();
-  std::vector<ProbeEvent> out = archive_;
+std::vector<ProbeEvent> Ledger::snapshot() const {
+  std::vector<ProbeEvent> out;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    out = archive_;
+  }
   std::sort(out.begin(), out.end(), [](const ProbeEvent& a, const ProbeEvent& b) {
     return std::tie(a.ts_ns, a.stage, a.primitive, a.target, a.addr, a.outcome, a.seq) <
            std::tie(b.ts_ns, b.stage, b.primitive, b.target, b.addr, b.outcome, b.seq);
@@ -102,12 +100,7 @@ std::vector<ProbeEvent> Ledger::snapshot() {
 
 u64 Ledger::dropped() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return archive_dropped_ + events_.dropped_locked();
-}
-
-size_t Ledger::live_rings() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return events_.live_rings_locked();
+  return dropped_;
 }
 
 u64 Ledger::total(u32 primitive, ProbeOutcome o) const {
@@ -139,9 +132,8 @@ u64 Ledger::total_events() const {
 
 void Ledger::clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  events_.clear_locked();
   archive_.clear();
-  archive_dropped_ = 0;
+  dropped_ = 0;
   names_.clear();
   for (auto& row : prim_tallies_)
     for (auto& st : row)

@@ -5,18 +5,17 @@
 // I–III). The metric registry only aggregates counters, so until now that
 // invariant was asserted, never audited — no artifact recorded WHICH address
 // was probed by WHICH primitive with WHAT outcome. The Ledger closes that
-// gap: a lock-free per-thread ring of fixed-size ProbeEvent records emitted
-// from every probing layer (oracle probes, Scanner sweeps/hunts, the
-// pipeline verify stage, the §VII AV-rate detector), drained on demand into
-// an archive that can be audited, serialized (binary + JSONL, CRP_LEDGER=
-// path), and cross-checked against the oracle.scan.* registry counters.
+// gap: fixed-size ProbeEvent records emitted from every probing layer
+// (oracle probes, Scanner sweeps/hunts, the pipeline verify stage, the §VII
+// AV-rate detector) into an archive that can be audited, serialized (binary
+// + JSONL, CRP_LEDGER=path), and cross-checked against the oracle.scan.*
+// registry counters.
 //
-// Hot path cost: one thread-local lookup, one SPSC ring store (the shared
-// EventRing of obs/ring.h), two relaxed fetch_adds (per-primitive and
-// per-stage tallies). No locks, no allocation after a thread's first event.
-// Ring overflow drops the *newest* event and counts the loss in dropped();
-// the tallies are exact regardless, so the zero-crash audit and the counter
-// cross-check never degrade with ring pressure.
+// Hot path cost: one vector append under the ledger's mutex and two relaxed
+// fetch_adds (per-primitive and per-stage tallies). Past kArchiveCap events
+// the archive drops the newest and counts the loss in dropped(); the tallies
+// are exact regardless, so the zero-crash audit and the counter cross-check
+// never degrade with archive pressure.
 //
 // Runtime-disabled recording turns record() into a no-op, like every other
 // obs mutation.
@@ -29,7 +28,7 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/ring.h"
+#include "obs/names.h"
 #include "util/common.h"
 
 namespace crp::obs {
@@ -74,7 +73,7 @@ struct ProbeEvent {
   u8 outcome = 0;     // ProbeOutcome
   u8 stage = 0;       // LedgerStage
   u16 reserved = 0;
-  u32 seq = 0;        // per-thread emission sequence (drain tie-breaker)
+  u32 seq = 0;        // archive index at append (sort tie-breaker)
 
   bool operator==(const ProbeEvent&) const = default;
 };
@@ -83,11 +82,12 @@ static_assert(sizeof(ProbeEvent) == 32, "ledger records are fixed-size");
 class Ledger {
  public:
   /// Interned-name capacity. Ids are dense and small so the per-primitive
-  /// outcome tallies can live in a flat atomic array (lock-free emit).
+  /// outcome tallies can live in a flat atomic array.
   static constexpr u32 kMaxNames = 256;
-  static constexpr size_t kDefaultRingCapacity = 1 << 14;
+  /// Archived events past this (32 MiB of records) are dropped and counted.
+  static constexpr size_t kArchiveCap = 1 << 20;
 
-  explicit Ledger(size_t ring_capacity = kDefaultRingCapacity);
+  Ledger() = default;
   Ledger(const Ledger&) = delete;
   Ledger& operator=(const Ledger&) = delete;
 
@@ -98,34 +98,26 @@ class Ledger {
   /// Dense name table, index == id (index 0 is "-").
   std::vector<std::string> names() const { return names_.names(); }
 
-  /// Lock-free fast path: append to the calling thread's ring and bump the
-  /// exact per-primitive / per-stage tallies.
+  /// Append one event to the archive and bump the exact per-primitive /
+  /// per-stage tallies.
   void record(LedgerStage stage, ProbeOutcome outcome, u32 primitive, u32 target,
               u64 addr, u64 ts_ns);
 
-  /// Pre-create the calling thread's ring (one mutex acquisition) so its
-  /// first record() stays lock-free. Otherwise the first record() creates
-  /// it; either way it is archived and freed when the thread exits.
-  void register_current_thread() { events_.attach_thread(); }
+  /// A copy of the full archive, sorted by (ts_ns, stage, primitive, target,
+  /// addr, outcome) so deterministic campaigns yield byte-identical ledgers
+  /// at any job count.
+  std::vector<ProbeEvent> snapshot() const;
 
-  /// Drain every thread ring into the archive and return a copy of the full
-  /// archive, sorted by (ts_ns, stage, primitive, target, addr, outcome) so
-  /// deterministic campaigns yield byte-identical ledgers at any job count.
-  std::vector<ProbeEvent> snapshot();
-
-  /// Events lost to ring/archive overflow. Tallies stay exact regardless.
+  /// Events lost to archive overflow. Tallies stay exact regardless.
   u64 dropped() const;
-  /// Per-thread rings currently allocated (threads that recorded and are
-  /// still alive).
-  size_t live_rings() const;
 
-  /// Exact emission tallies (survive ring overflow; audit substrate).
+  /// Exact emission tallies (survive archive overflow; audit substrate).
   u64 total(u32 primitive, ProbeOutcome o) const;  // summed over stages
   u64 total(u32 primitive, LedgerStage s, ProbeOutcome o) const;
   u64 stage_total(LedgerStage s, ProbeOutcome o) const;
   u64 total_events() const;
 
-  /// Reset archive, rings, tallies, and the name table (tests).
+  /// Reset archive, tallies, and the name table (tests).
   void clear();
 
   // --- serialization --------------------------------------------------------
@@ -149,9 +141,9 @@ class Ledger {
 
  private:
   NameTable names_{kMaxNames};
-  mutable std::mutex mu_;  // guards archive_ and the ring set of events_
+  mutable std::mutex mu_;  // guards archive_ and dropped_
   std::vector<ProbeEvent> archive_;
-  u64 archive_dropped_ = 0;
+  u64 dropped_ = 0;
 
   std::array<
       std::array<std::array<std::atomic<u64>, kNumProbeOutcomes>, kNumLedgerStages>,
@@ -159,8 +151,6 @@ class Ledger {
       prim_tallies_{};
   std::array<std::array<std::atomic<u64>, kNumProbeOutcomes>, kNumLedgerStages>
       stage_tallies_{};
-  // Last: destroyed first, so no exiting thread archives into a dead ledger.
-  EventRing<ProbeEvent> events_;
 };
 
 // --- audit -------------------------------------------------------------------
@@ -171,7 +161,7 @@ class Ledger {
 /// Registry. Any violation is a hard failure for the caller to enforce.
 struct LedgerAudit {
   u64 events = 0;   // archived events audited
-  u64 dropped = 0;  // ring/archive losses at audit time
+  u64 dropped = 0;  // archive losses at audit time
   /// Crash outcomes in *probing* stages (oracle/sweep/hunt) — the count the
   /// zero-crash invariant requires to be 0. Verify-stage crash events
   /// (disqualified candidates) and defense-stage ones are not counted here.
@@ -190,7 +180,7 @@ struct LedgerAudit {
   std::string summary() const;
 };
 
-/// Audit `ledger` (drains it via snapshot()). When `cross_check` is non-null
+/// Audit `ledger` (reads it via snapshot()). When `cross_check` is non-null
 /// the scan-stage tallies must reconcile exactly with its oracle.scan.*
 /// counters: probes == sweep+hunt events, crashes == crash outcomes, and
 /// mapped_hits == survive outcomes (exact when no crashes occurred).

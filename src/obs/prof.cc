@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <map>
+#include <mutex>
 #include <tuple>
 
 #include "obs/obs.h"
@@ -32,7 +33,6 @@ using HeatKey = std::tuple<u32, u32, u32, u16, u16>;  // block, stage, target, s
 /// Samplers spread over this many heat maps (a thread keeps its shard), so
 /// concurrent samplers rarely share a lock while every count stays exact.
 constexpr u32 kHeatShards = 8;
-constexpr size_t kArchiveCap = 1 << 18;
 std::atomic<u32> g_next_heat_shard{0};
 
 u64 env_interval() {
@@ -54,14 +54,7 @@ struct Profiler::HeatShard {
   std::map<HeatKey, u64> heat;
 };
 
-Profiler::Profiler(size_t ring_capacity)
-    : heat_(std::make_unique<HeatShard[]>(kHeatShards)),
-      ring_(mu_, ring_capacity, [this](const ProfSample& s) {
-        if (archive_.size() < kArchiveCap)
-          archive_.push_back(s);
-        else
-          ++archive_dropped_;
-      }) {}
+Profiler::Profiler() : heat_(std::make_unique<HeatShard[]>(kHeatShards)) {}
 
 Profiler::~Profiler() = default;
 
@@ -76,7 +69,6 @@ Profiler& Profiler::global() {
 
 void Profiler::record(const ProfSample& s) {
   if (!detail::recording()) return;
-  ring_.push(s);  // a full ring drops the raw sample; the heat stays exact
   thread_local const u32 t_heat_slot =
       g_next_heat_shard.fetch_add(1, std::memory_order_relaxed) % kHeatShards;
   HeatShard& sh = heat_[t_heat_slot];
@@ -85,22 +77,6 @@ void Profiler::record(const ProfSample& s) {
     ++sh.heat[HeatKey{s.block, s.stage, s.target, s.syscall, s.flags}];
   }
   samples_.fetch_add(1, std::memory_order_relaxed);
-}
-
-u64 Profiler::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return archive_dropped_ + ring_.dropped_locked();
-}
-
-std::vector<ProfSample> Profiler::samples_snapshot() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_.drain_locked();
-  std::vector<ProfSample> out = archive_;
-  std::sort(out.begin(), out.end(), [](const ProfSample& a, const ProfSample& b) {
-    return std::tie(a.vcount, a.pc, a.block, a.stage, a.target, a.syscall, a.flags) <
-           std::tie(b.vcount, b.pc, b.block, b.stage, b.target, b.syscall, b.flags);
-  });
-  return out;
 }
 
 std::vector<Profiler::HeatRow> Profiler::heat() const {
@@ -172,9 +148,6 @@ std::string Profiler::report_json(const std::string& name, size_t top_k) const {
 
   std::string out = "{\n";
   out += strf("\"prof\": \"%s\",\n\"schema\": 1,\n", json_escape(name).c_str());
-  // No "dropped" field on purpose: ring overflow counts are scheduling-
-  // dependent, and this report must be bit-identical at any CRP_JOBS. The
-  // drop count is diagnostics, not data — BenchSession logs it to stderr.
   out += strf("\"interval\": %llu,\n\"samples\": %llu,\n",
               static_cast<unsigned long long>(interval()),
               static_cast<unsigned long long>(total));
@@ -204,15 +177,11 @@ std::string Profiler::report_json(const std::string& name, size_t top_k) const {
 }
 
 void Profiler::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_.clear_locked();
   for (u32 i = 0; i < kHeatShards; ++i) {
     std::lock_guard<std::mutex> slock(heat_[i].mu);
     heat_[i].heat.clear();
   }
   names_.clear();
-  archive_.clear();
-  archive_dropped_ = 0;
   samples_.store(0, std::memory_order_relaxed);
 }
 

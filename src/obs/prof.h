@@ -17,13 +17,12 @@
 // driver, the kernel's syscall dispatch, and the oracle's probe loop
 // maintain via the RAII scopes below.
 //
-// Storage: raw samples go to the shared per-thread EventRing (obs/ring.h:
-// lock-free fast path, drops counted, drained on demand), while the heat
-// table is kept *exactly* in thread-sharded aggregation maps — ring
-// pressure can lose raw samples but never a heat count, which is what the
-// determinism contract is stated over. Exports resolve interned ids back to
-// names and sort by (count desc, names asc), so id assignment order (which
-// IS scheduling-dependent) never leaks into an artifact.
+// Storage: a sample is tallied *exactly* into one of eight thread-sharded
+// heat maps (context -> count); no raw sample is kept, and nothing is ever
+// dropped. The heat table is what the determinism contract is stated over.
+// Exports resolve interned ids back to names and sort by (count desc, names
+// asc), so id assignment order (which IS scheduling-dependent) never leaks
+// into an artifact.
 //
 // Unarmed cost: CRP_PROF unset leaves interval() == 0, every Machine skips
 // arming its countdown, and the interpreter pays a single predictable
@@ -32,12 +31,11 @@
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "obs/ring.h"
+#include "obs/names.h"
 #include "util/common.h"
 
 namespace crp::obs {
@@ -62,7 +60,8 @@ struct ProfContext {
   u16 flags = 0;    // kProf* bits
 };
 
-/// One fixed-size sample record (the per-thread ring element).
+/// One sample as the sampling Machine takes it. The heat table keys on
+/// (block, stage, target, syscall, flags).
 struct ProfSample {
   u64 vcount = 0;   // sampling Machine's instret at the sample
   u64 pc = 0;       // guest program counter
@@ -71,16 +70,12 @@ struct ProfSample {
   u32 target = 0;
   u16 syscall = 0;
   u16 flags = 0;
-
-  bool operator==(const ProfSample&) const = default;
 };
-static_assert(sizeof(ProfSample) == 32, "prof samples are fixed-size");
 
 // --- profiler ----------------------------------------------------------------
 
 class Profiler {
  public:
-  static constexpr size_t kDefaultRingCapacity = 1 << 12;
   /// Interned-name capacity, above any profile today (bench_seh_funnel
   /// interns ~5k names); sample syscall ids are u16 anyway.
   static constexpr u32 kMaxNames = 1 << 16;
@@ -96,7 +91,7 @@ class Profiler {
     bool operator==(const HeatRow&) const = default;
   };
 
-  explicit Profiler(size_t ring_capacity = kDefaultRingCapacity);
+  Profiler();
   ~Profiler();
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
@@ -125,19 +120,12 @@ class Profiler {
     return ctx;
   }
 
-  /// Lock-free-ish fast path: ring store + one uncontended shard mutex for
-  /// the exact heat tally. Called at sampling granularity, never per
-  /// instruction.
+  /// One uncontended shard mutex for the exact heat tally. Called at
+  /// sampling granularity, never per instruction.
   void record(const ProfSample& s);
 
-  /// Exact totals (survive ring overflow).
+  /// Exact total of recorded samples.
   u64 samples() const { return samples_.load(std::memory_order_relaxed); }
-  /// Raw samples lost to ring/archive overflow (heat stays exact).
-  u64 dropped() const;
-
-  /// Drain every thread ring into the archive and return a copy, sorted by
-  /// (vcount, pc, block, seq) for deterministic inspection.
-  std::vector<ProfSample> samples_snapshot();
 
   /// Merged, name-resolved heat table (see HeatRow for the order).
   std::vector<HeatRow> heat() const;
@@ -165,12 +153,6 @@ class Profiler {
   std::atomic<u64> samples_{0};
   NameTable names_{kMaxNames};
   std::unique_ptr<HeatShard[]> heat_;
-
-  mutable std::mutex mu_;  // guards archive_ and the ring set of ring_
-  std::vector<ProfSample> archive_;
-  u64 archive_dropped_ = 0;
-  // Last: destroyed first, so no exiting thread archives into a dead profiler.
-  EventRing<ProfSample> ring_;
 };
 
 // --- RAII context scopes ------------------------------------------------------

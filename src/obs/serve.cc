@@ -60,7 +60,6 @@ std::string ledger_json() {
 constexpr const char* kIndex =
     "crp live telemetry endpoints:\n"
     "  /metrics       Prometheus text exposition\n"
-    "  /metrics.json  JSON snapshot (full histogram buckets)\n"
     "  /flat.json     BENCH-shaped metrics JSON (crptop polls this)\n"
     "  /ledger.json   flight-recorder tallies\n"
     "  /prof.json     profiler hot-block report\n"
@@ -121,9 +120,6 @@ Response respond(const std::string& path) {
     for (const auto& [p, dr] : dyn_routes()) r.body += "  " + p + "\n";
   } else if (path == "/metrics") {
     r.body = expo::prometheus_text(Registry::global().snapshot());
-  } else if (path == "/metrics.json") {
-    r.content_type = "application/json";
-    r.body = expo::json(Registry::global().snapshot());
   } else if (path == "/flat.json") {
     r.content_type = "application/json";
     r.body = Registry::global().json();

@@ -8,7 +8,6 @@
 //
 //   GET /             route index (text/plain)
 //   GET /metrics      Registry snapshot, Prometheus text exposition
-//   GET /metrics.json Registry snapshot, expo::json (full histogram buckets)
 //   GET /flat.json    Registry::json() — the BENCH-file metrics shape,
 //                     parseable by expo::parse_bench_json (what crptop polls)
 //   GET /ledger.json  flight-recorder tallies (per stage and per primitive)

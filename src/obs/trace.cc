@@ -1,6 +1,5 @@
 #include "obs/trace.h"
 
-#include <algorithm>
 #include <chrono>
 
 #include "obs/journal.h"
@@ -44,9 +43,6 @@ ScopedTraceJob::~ScopedTraceJob() { t_job_ctx = prev_; }
 
 // --- JobTracer ---------------------------------------------------------------
 
-JobTracer::JobTracer(size_t ring_capacity)
-    : spans_(mu_, ring_capacity, [this](const JobSpan& s) { append_locked(s); }) {}
-
 JobTracer& JobTracer::global() {
   static JobTracer* g = new JobTracer();
   return *g;
@@ -80,16 +76,24 @@ void JobTracer::record(u64 trace, u64 job, SpanKind kind, u32 label, u64 arg,
   s.t0_ns = t0_ns;
   s.t1_ns = t1_ns;
   s.arg = arg;
-  s.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   s.label = label < kMaxNames ? label : 0;
   s.kind = kind;
-  spans_.push(s);
-  Registry::global().counter("crpd.trace.spans").inc();
+  u64 lost = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    lost = append_locked(s);
+  }
+  // Both series exist from the first span, so a clean run reads 0 lost.
+  static Counter& spans_metric = Registry::global().counter("crpd.trace.spans");
+  static Counter& lost_metric = Registry::global().counter("crpd.trace.dropped");
+  spans_metric.inc();
+  lost_metric.inc(lost);
 }
 
-// --- Drain / export ----------------------------------------------------------
+// --- Archive / export --------------------------------------------------------
 
-void JobTracer::append_locked(const JobSpan& s) {
+u64 JobTracer::append_locked(JobSpan s) {
+  u64 lost = 0;
   auto key = std::make_pair(s.trace, s.job);
   auto it = archive_.find(key);
   if (it == archive_.end()) {
@@ -98,7 +102,7 @@ void JobTracer::append_locked(const JobSpan& s) {
       auto victim = archive_.find(archive_fifo_.front());
       archive_fifo_.pop_front();
       if (victim != archive_.end()) {
-        dropped_ += victim->second.size();
+        lost += victim->second.size();
         archive_.erase(victim);
       }
     }
@@ -106,33 +110,24 @@ void JobTracer::append_locked(const JobSpan& s) {
     archive_fifo_.push_back(key);
   }
   if (it->second.size() >= kMaxSpansPerJob) {
-    ++dropped_;
-    Registry::global().counter("crpd.trace.dropped").inc();
-    return;
+    ++lost;
+  } else {
+    s.seq = it->second.size();
+    it->second.push_back(s);
   }
-  it->second.push_back(s);
+  dropped_ += lost;
+  return lost;
 }
 
-std::vector<JobTracer::JobTraceView> JobTracer::snapshot() {
+std::vector<JobTracer::JobTraceView> JobTracer::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  spans_.drain_locked();
   std::vector<JobTraceView> out;
   out.reserve(archive_.size());
-  for (const auto& [key, spans] : archive_) {
-    JobTraceView v;
-    v.trace = key.first;
-    v.job = key.second;
-    v.spans = spans;
-    std::sort(v.spans.begin(), v.spans.end(),
-              [](const JobSpan& a, const JobSpan& b) { return a.seq < b.seq; });
-    // Renumber so no raw (scheduling-dependent) stamp leaks into output.
-    for (size_t i = 0; i < v.spans.size(); ++i) v.spans[i].seq = i;
-    out.push_back(std::move(v));
-  }
+  for (const auto& [key, spans] : archive_) out.push_back({key.first, key.second, spans});
   return out;
 }
 
-std::vector<JobSpan> JobTracer::spans_for(u64 trace) {
+std::vector<JobSpan> JobTracer::spans_for(u64 trace) const {
   std::vector<JobSpan> out;
   for (JobTraceView& v : snapshot()) {
     if (v.trace != trace) continue;
@@ -143,10 +138,10 @@ std::vector<JobSpan> JobTracer::spans_for(u64 trace) {
 
 u64 JobTracer::dropped() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return dropped_ + spans_.dropped_locked();
+  return dropped_;
 }
 
-std::string JobTracer::traces_json() {
+std::string JobTracer::traces_json() const {
   std::vector<JobTraceView> views = snapshot();
   std::string out = "{\n\"traces\": [";
   u64 cur_trace = 0;
@@ -183,7 +178,7 @@ std::string JobTracer::traces_json() {
   return out;
 }
 
-std::string JobTracer::chrome_trace_json() {
+std::string JobTracer::chrome_trace_json() const {
   std::vector<TraceEvent> events;
   for (const JobTraceView& v : snapshot()) {
     for (const JobSpan& s : v.spans) {
@@ -205,7 +200,6 @@ std::string JobTracer::chrome_trace_json() {
 
 void JobTracer::clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  spans_.clear_locked();
   archive_.clear();
   archive_fifo_.clear();
   names_.clear();

@@ -17,10 +17,12 @@
 //   lease_coalesce  replayed a stored artifact instead of computing
 //   render          FETCH rendered the report (arg = payload bytes)
 //
-// Spans land in the shared per-thread EventRing (obs/ring.h: one writer
-// per ring, the drainer is the only other toucher) and drain into a
-// bounded per-job archive, exported as per-job JSON (/traces.json) and
-// merged Chrome trace_event lanes (/trace.json, one lane per job id).
+// Each span is appended under the tracer's mutex straight into its
+// (trace, job) lane of a bounded archive, exported as per-job JSON
+// (/traces.json) and merged Chrome trace_event lanes (/trace.json, one
+// lane per job id). JobQueue::drive records spans while it holds the
+// queue lock, so the tracer's mutex nests inside that lock and never the
+// other way round.
 //
 // Determinism contract: span *content* — kinds, interned labels, args,
 // per-job order — derives only from the submit tuple (target, knobs,
@@ -28,9 +30,8 @@
 // order. Only the wall timestamps vary across runs, so tests diff span
 // sets at workers=1 vs workers=4. Per-job order is the emission order of
 // the single thread driving that job at any moment (park/resume hand-offs
-// happen under the queue lock), captured by a global sequence stamp and
-// renumbered 0..n-1 per job at drain time so no scheduling-dependent raw
-// value leaks into the output.
+// happen under the queue lock), and a span's seq is its index in its
+// lane, so no scheduling-dependent value leaks into the output.
 //
 // The tracer is disarmed by default: batch tools never arm it, so batch
 // stdout and bench numbers are untouched (one relaxed load per hook).
@@ -47,7 +48,7 @@
 #include <utility>
 #include <vector>
 
-#include "obs/ring.h"
+#include "obs/names.h"
 #include "util/common.h"
 
 namespace crp::obs {
@@ -77,24 +78,21 @@ struct JobSpan {
   u64 t0_ns = 0;
   u64 t1_ns = 0;
   u64 arg = 0;
-  u64 seq = 0;  // global emission stamp; renumbered per job at drain
+  u64 seq = 0;  // index in its (trace, job) lane
   u32 label = 0;  // interned name id, 0 = none
   SpanKind kind = SpanKind::kAdmission;
-  u8 pad[3] = {};
 };
-static_assert(sizeof(JobSpan) == 56, "keep ring slots cache-friendly");
 
 class JobTracer {
  public:
   static constexpr u32 kMaxNames = 256;
-  static constexpr size_t kDefaultRingCapacity = 1 << 12;
   /// Per-(trace, job) archive budget: spans past this are dropped and
   /// counted, so a runaway job cannot grow the archive unboundedly.
   static constexpr size_t kMaxSpansPerJob = 256;
   /// Archived (trace, job) lanes are evicted FIFO past this cap.
   static constexpr size_t kMaxArchivedJobs = 4096;
 
-  explicit JobTracer(size_t ring_capacity = kDefaultRingCapacity);
+  JobTracer() = default;
   JobTracer(const JobTracer&) = delete;
   JobTracer& operator=(const JobTracer&) = delete;
 
@@ -114,48 +112,47 @@ class JobTracer {
   u32 intern(const std::string& name) { return names_.intern(name); }
   std::string name_of(u32 id) const { return names_.name_of(id); }
 
-  /// Record one span. No-op unless armed, recording, and trace != 0.
+  /// Record one span. No-op unless armed, recording, and trace != 0. A span
+  /// lost to the per-job budget or to lane eviction counts in dropped() and
+  /// in crpd.trace.dropped.
   void record(u64 trace, u64 job, SpanKind kind, u32 label, u64 arg, u64 t0_ns,
               u64 t1_ns);
 
-  // --- Drain / export.
+  // --- Archive / export.
   struct JobTraceView {
     u64 trace = 0;
     u64 job = 0;
-    std::vector<JobSpan> spans;  // seq renumbered 0..n-1
+    std::vector<JobSpan> spans;  // seq 0..n-1
   };
-  /// Drain all rings into the archive and return every (trace, job) lane.
-  std::vector<JobTraceView> snapshot();
-  /// Spans of one trace (all jobs, job-0 admission lane first), seq
-  /// renumbered per job.
-  std::vector<JobSpan> spans_for(u64 trace);
-  /// Spans dropped (ring overflow + per-job budget + lane eviction).
+  /// Every (trace, job) lane of the archive.
+  std::vector<JobTraceView> snapshot() const;
+  /// Spans of one trace (all jobs, job-0 admission lane first).
+  std::vector<JobSpan> spans_for(u64 trace) const;
+  /// Spans dropped (per-job budget + lane eviction).
   u64 dropped() const;
 
   /// {"traces": [{"trace": N, "jobs": [{"job": N, "spans": [...]}]}]}
-  std::string traces_json();
+  std::string traces_json() const;
   /// Chrome trace_event JSON Array Format; lane (tid) = job id.
-  std::string chrome_trace_json();
+  std::string chrome_trace_json() const;
 
-  /// Drop archive, rings and names (tests).
+  /// Drop archive and names (tests).
   void clear();
 
   static JobTracer& global();
 
  private:
-  void append_locked(const JobSpan& s);
+  /// Append `s` to its lane; returns the spans this append dropped.
+  u64 append_locked(JobSpan s);
 
   std::atomic<bool> armed_{false};
   std::atomic<u64> next_trace_{1};
-  std::atomic<u64> next_seq_{1};
   NameTable names_{kMaxNames};
 
-  mutable std::mutex mu_;  // guards the archive and the ring set of spans_
+  mutable std::mutex mu_;  // guards archive_, archive_fifo_ and dropped_
   std::map<std::pair<u64, u64>, std::vector<JobSpan>> archive_;
   std::deque<std::pair<u64, u64>> archive_fifo_;
   u64 dropped_ = 0;
-  // Last: destroyed first, so no exiting thread archives into a dead tracer.
-  EventRing<JobSpan> spans_;
 };
 
 /// Thread-local job context, installed by the queue around every drive

@@ -1,6 +1,7 @@
 // crp::obs::JobTracer — the end-to-end job-trace layer: span determinism
-// across worker counts, per-job span budgets, and the JSON exports the
-// daemon serves. (The stall watchdog reads the JobQueue's job records and
+// across worker counts, the archive bounds (per-job span budgets, lane
+// eviction) and their drop accounting, and the JSON exports the daemon
+// serves. (The stall watchdog reads the JobQueue's job records and
 // is tested with the queue, in test_pipeline.)
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <tuple>
 #include <vector>
 
+#include "obs/obs.h"
 #include "obs/trace.h"
 #include "pipeline/artifact_store.h"
 #include "pipeline/job_queue.h"
@@ -125,12 +127,64 @@ TEST(JobTracer, PerJobSpanBudgetDropsAndCounts) {
   std::vector<JobTracer::JobTraceView> lanes = jt.snapshot();
   ASSERT_EQ(lanes.size(), 1u);
   EXPECT_EQ(lanes[0].spans.size(), budget);
-  EXPECT_GE(jt.dropped(), 10u);
-  // The budget keeps the prefix: args 0..budget-1 in order, seq renumbered.
+  EXPECT_EQ(jt.dropped(), 10u);
+  // The budget keeps the prefix: args 0..budget-1 in order, seq = lane index.
   for (size_t i = 0; i < budget; ++i) {
     EXPECT_EQ(lanes[0].spans[i].arg, i);
     EXPECT_EQ(lanes[0].spans[i].seq, i);
   }
+}
+
+TEST(JobTracer, LaneEvictionCountsInTheDroppedMetric) {
+  // One span on each of kMaxArchivedJobs + 10 lanes: the 10 oldest lanes
+  // are evicted, and their spans count in dropped() and in the metric.
+  ArmedTracer armed;
+  JobTracer& jt = JobTracer::global();
+  Counter& metric = Registry::global().counter("crpd.trace.dropped");
+  const u64 before = metric.value();
+  for (u64 job = 1; job <= JobTracer::kMaxArchivedJobs + 10; ++job)
+    jt.record(5, job, SpanKind::kStep, 0, 0, 0, 1);
+  EXPECT_EQ(jt.snapshot().size(), JobTracer::kMaxArchivedJobs);
+  EXPECT_EQ(jt.dropped(), 10u);
+  EXPECT_EQ(metric.value() - before, 10u);
+}
+
+TEST(JobTracer, OneWorkerKeepsEverySpanBelowTheArchiveBounds) {
+  // One worker records every span of 700 cached jobs, and nothing reads the
+  // archive before the end. 700 lanes of 6 spans sit well inside the
+  // documented bounds (kMaxSpansPerJob per lane, kMaxArchivedJobs lanes),
+  // so every span must still be there.
+  ArmedTracer armed;
+  JobTracer& jt = JobTracer::global();
+  pipeline::TargetRegistry reg = pipeline::TargetRegistry::builtin();
+  const pipeline::TargetSpec* target = reg.find("corpus/dll_x64");
+  ASSERT_NE(target, nullptr);
+  ArtifactStore store;
+  JobQueueOptions qo;
+  qo.workers = 1;
+  qo.store = &store;
+  qo.retain_terminal = 0;
+  JobQueue queue(qo);
+  JobSpec spec;
+  spec.target = *target;
+  // An untraced first run fills the store, so every traced job replays it.
+  ASSERT_EQ(queue.wait(queue.submit(spec)).state, JobState::kDone);
+
+  constexpr size_t kJobs = 700;
+  constexpr size_t kSpansPerJob = 6;  // what a cached corpus/dll_x64 job records
+  std::vector<pipeline::JobId> ids;
+  for (size_t i = 0; i < kJobs; ++i) {
+    spec.trace = jt.start_trace();
+    ids.push_back(queue.submit(spec));
+  }
+  for (pipeline::JobId id : ids) ASSERT_EQ(queue.wait(id).state, JobState::kDone);
+
+  std::vector<JobTracer::JobTraceView> lanes = jt.snapshot();
+  size_t spans = 0;
+  for (const JobTracer::JobTraceView& v : lanes) spans += v.spans.size();
+  EXPECT_EQ(lanes.size(), kJobs);
+  EXPECT_EQ(spans, kJobs * kSpansPerJob);
+  EXPECT_EQ(jt.dropped(), 0u);
 }
 
 TEST(JobTracer, JsonExportsAreWellFormed) {

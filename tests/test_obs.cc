@@ -1,6 +1,6 @@
 // crp::obs unit tests: counter/gauge semantics, histogram bucket math and
 // quantile accuracy, registry get-or-create + kind collisions, concurrent
-// increments, JSON snapshot round-trip, snapshot/diff, Prometheus + JSON
+// increments, JSON snapshot round-trip, snapshot/diff, Prometheus
 // exposition, bench-snapshot parsing, journal ring + trace export.
 
 #include <gtest/gtest.h>
@@ -325,17 +325,6 @@ TEST(Expo, PrometheusTextFormat) {
   EXPECT_NE(text.find("crp_sat_solve_ns_count 2"), std::string::npos);
   // Cumulative bucket series: the le="3" bucket holds 1 sample.
   EXPECT_NE(text.find("crp_sat_solve_ns_bucket{le=\"3\"} 1"), std::string::npos);
-}
-
-TEST(Expo, JsonCarriesBucketBoundaries) {
-  Registry r;
-  r.histogram("h").record(10);
-  std::string j = expo::json(r.snapshot());
-  u32 idx = Histogram::bucket_index(10);
-  std::string expect = strf("[%u,%llu,%llu,1]", idx,
-                            static_cast<unsigned long long>(Histogram::bucket_lo(idx)),
-                            static_cast<unsigned long long>(Histogram::bucket_hi(idx)));
-  EXPECT_NE(j.find(expect), std::string::npos) << j;
 }
 
 TEST(Expo, ParseBenchJsonRoundTrip) {

@@ -161,20 +161,6 @@ TEST(Profiler, CollapsedAndReportShapes) {
   EXPECT_EQ(json.find("dropped"), std::string::npos);
 }
 
-TEST(Profiler, SamplesSnapshotIsSortedByVirtualTime) {
-  Profiler p;
-  p.set_interval(1);
-  u32 blk = p.intern("m+0x0");
-  p.record({30, 0, blk, 0, 0, 0, 0});
-  p.record({10, 0, blk, 0, 0, 0, 0});
-  p.record({20, 0, blk, 0, 0, 0, 0});
-  std::vector<ProfSample> snap = p.samples_snapshot();
-  ASSERT_EQ(snap.size(), 3u);
-  EXPECT_EQ(snap[0].vcount, 10u);
-  EXPECT_EQ(snap[1].vcount, 20u);
-  EXPECT_EQ(snap[2].vcount, 30u);
-}
-
 // --- the determinism acceptance property -------------------------------------
 
 /// One profiled syscall-funnel scan with its batches forced to `jobs` workers.

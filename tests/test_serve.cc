@@ -40,8 +40,8 @@ namespace {
 TEST(Respond, IndexListsEveryRoute) {
   Response r = respond("/");
   EXPECT_EQ(r.status, 200);
-  for (const char* route : {"/metrics", "/metrics.json", "/flat.json",
-                            "/ledger.json", "/prof.json", "/prof.folded"})
+  for (const char* route : {"/metrics", "/flat.json", "/ledger.json", "/prof.json",
+                            "/prof.folded", "/traces.json", "/trace.json"})
     EXPECT_NE(r.body.find(route), std::string::npos) << route;
 }
 
