@@ -10,9 +10,9 @@
 //
 // Thin driver over the pipeline layer: the population comes from the
 // TargetRegistry (corpus/winapi) and runs through its cell via
-// Campaign::run_target: the api_fuzz step (answered from the
-// content-addressed ArtifactStore on a repeat), a traced browse, then the
-// call_sites reduction. Every narrowing step below is
+// Campaign::run_target: the api_fuzz step, a traced browse, then the
+// call_sites reduction (the whole funnel answered from the
+// content-addressed ArtifactStore on a repeat). Every narrowing step below is
 // *measured*: black-box fuzzing, dynamic tracing of a browsing workload,
 // call-stack attribution, pointer classification.
 

@@ -74,6 +74,7 @@ struct Candidate {
   std::string note;
 
   std::string describe() const;
+  bool operator==(const Candidate&) const = default;
 };
 
 }  // namespace crp::analysis

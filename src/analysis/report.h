@@ -39,6 +39,8 @@ struct ApiFunnel {
   u32 script_triggerable = 0;
   u32 controllable = 0;
   std::map<std::string, u32> exclusion_histogram;
+
+  bool operator==(const ApiFunnel&) const = default;
 };
 
 std::string render_api_funnel(const ApiFunnel& funnel);

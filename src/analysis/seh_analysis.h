@@ -153,6 +153,8 @@ struct ModuleSehStats {
   // Table III: unique filter functions.
   size_t filters_total = 0;
   size_t filters_av_capable = 0;
+
+  bool operator==(const ModuleSehStats&) const = default;
 };
 
 /// Filter verdicts indexed by (module, filter offset): the per-handler

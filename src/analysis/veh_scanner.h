@@ -24,6 +24,8 @@ struct VehHandlerInfo {
   u64 offset = 0;          // code-section offset
   FilterVerdict verdict = FilterVerdict::kNeedsManual;
   size_t paths_explored = 0;
+
+  bool operator==(const VehHandlerInfo&) const = default;
 };
 
 class VehScanner {

@@ -63,8 +63,6 @@ struct ProfContext {
 /// One sample as the sampling Machine takes it. The heat table keys on
 /// (block, stage, target, syscall, flags).
 struct ProfSample {
-  u64 vcount = 0;   // sampling Machine's instret at the sample
-  u64 pc = 0;       // guest program counter
   u32 block = 0;    // interned basic-block id ("module+0xoff", 0 = "-")
   u32 stage = 0;    // ProfContext at the sample
   u32 target = 0;

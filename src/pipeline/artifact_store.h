@@ -277,4 +277,44 @@ class ArtifactStore {
   chaos::FaultStream chaos_;
 };
 
+/// The store handshake every cached computation shares: acquire() answers
+/// a hit or takes the key's single-writer lease, so concurrent identical
+/// computations run once and the other callers are handed the result;
+/// publish() stores the computed document and drops the lease. A lease
+/// still held when the CacheLease dies (its step threw, or the job was
+/// cancelled) is released, promoting the next waiter to owner.
+class CacheLease {
+ public:
+  explicit CacheLease(ArtifactStore* store) : store_(store) {}
+  ~CacheLease() { release(); }
+  CacheLease(const CacheLease&) = delete;
+  CacheLease& operator=(const CacheLease&) = delete;
+
+  bool held() const { return held_; }
+
+  /// True + *doc on a hit; on a miss this caller owns the lease.
+  bool acquire(const ArtifactKey& key, std::string* doc) {
+    key_ = key;
+    Acquire a = store_->acquire(key_, doc);
+    held_ = a == Acquire::kOwner;
+    return a == Acquire::kHit;
+  }
+  /// Without a lease (a hit that failed to decode) the plain store
+  /// replaces the stored blob.
+  void publish(const std::string& doc) {
+    if (held_) store_->finish(key_, doc);
+    else store_->store(key_, doc);
+    held_ = false;
+  }
+  void release() {
+    if (held_) store_->abort_claim(key_);
+    held_ = false;
+  }
+
+ private:
+  ArtifactStore* store_;
+  ArtifactKey key_;
+  bool held_ = false;
+};
+
 }  // namespace crp::pipeline

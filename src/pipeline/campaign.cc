@@ -56,8 +56,9 @@ Campaign::Campaign(CampaignOptions opts, ArtifactStore* store)
 
 namespace {
 
-ArtifactKey syscall_scan_key_for(const analysis::TargetProgram& prog,
-                                 const CampaignOptions& opts) {
+/// Content hash of a target program: its name, personality, port and
+/// every image's serialized bytes.
+u64 program_content_hash(const analysis::TargetProgram& prog) {
   Hasher in;
   in.str(prog.name)
       .u64v(static_cast<u64>(prog.personality))
@@ -67,13 +68,18 @@ ArtifactKey syscall_scan_key_for(const analysis::TargetProgram& prog,
     std::vector<u8> bytes = isa::write_image(*img);
     in.u64v(bytes.size()).bytes(bytes.data(), bytes.size());
   }
+  return in.digest();
+}
+
+ArtifactKey syscall_scan_key_for(const analysis::TargetProgram& prog,
+                                 const CampaignOptions& opts) {
   u64 cfg = Hasher()
                 .u64v(opts.syscall.discover_budget)
                 .u64v(opts.syscall.verify_budget)
                 .u64v(opts.syscall.check_service_liveness ? 1 : 0)
                 .u64v(opts.syscall.seed)
                 .digest();
-  return ArtifactKey{"taint_trace", in.digest(), cfg};
+  return ArtifactKey{"taint_trace", program_content_hash(prog), cfg};
 }
 
 /// Hash the fields of a ClassifyOptions (the filter_classify config key).
@@ -100,7 +106,7 @@ u64 api_surface_hash(const os::Kernel& kernel) {
   return h.digest();
 }
 
-/// Content hash of a serialized-image corpus (the filter_classify input key).
+/// Content hash of a serialized-image corpus (an SEH cell's input content).
 u64 corpus_content_hash(const std::vector<std::vector<u8>>& blobs) {
   Hasher h;
   for (const auto& b : blobs) h.u64v(b.size()).bytes(b.data(), b.size());
@@ -194,46 +200,6 @@ class StageScope {
   obs::ScopedProfTarget prof_target_;
 };
 
-/// The store handshake every cached step shares: acquire() answers a hit
-/// or takes the key's single-writer lease, so concurrent identical
-/// computations run once and the other callers are handed the result;
-/// publish() stores the computed document and drops the lease. A lease
-/// still held when the CacheLease dies (its step threw, or the job was
-/// cancelled) is released, promoting the next waiter to owner.
-class CacheLease {
- public:
-  explicit CacheLease(ArtifactStore* store) : store_(store) {}
-  ~CacheLease() { release(); }
-  CacheLease(const CacheLease&) = delete;
-  CacheLease& operator=(const CacheLease&) = delete;
-
-  bool held() const { return held_; }
-
-  /// True + *doc on a hit; on a miss this caller owns the lease.
-  bool acquire(const ArtifactKey& key, std::string* doc) {
-    key_ = key;
-    Acquire a = store_->acquire(key_, doc);
-    held_ = a == Acquire::kOwner;
-    return a == Acquire::kHit;
-  }
-  /// Without a lease (a hit that failed to decode) the plain store
-  /// replaces the stored blob.
-  void publish(const std::string& doc) {
-    if (held_) store_->finish(key_, doc);
-    else store_->store(key_, doc);
-    held_ = false;
-  }
-  void release() {
-    if (held_) store_->abort_claim(key_);
-    held_ = false;
-  }
-
- private:
-  ArtifactStore* store_;
-  ArtifactKey key_;
-  bool held_ = false;
-};
-
 /// One single-step cached computation: answer `key` from `store` (a
 /// document `decode` rejects counts as a miss), else run `compute` under
 /// the lease and publish `encode` of its result. nullptr `store` always
@@ -287,85 +253,105 @@ bool synthesize_plan(const TargetSpec& spec,
 
 TargetCell::TargetCell(const CampaignOptions& opts, ArtifactStore* store,
                        TargetSpec spec, std::vector<Step> steps)
-    : opts_(opts), store_(store), spec_(std::move(spec)), steps_(std::move(steps)) {
+    : opts_(opts),
+      store_(store),
+      spec_(std::move(spec)),
+      steps_(std::move(steps)),
+      lease_(store) {
+  report_.id = spec_.id;
+  report_.cls = spec_.cls;
+  for (size_t i = 0; i < steps_.size(); ++i)
+    if (steps_[i].computes) publish_at_ = i + 1;
   if (!opts_.plan) return;
   // The exploit-plan epilogue: synthesize from the finished report's
   // candidates, then replay against a fresh target instance (never cached:
-  // the replay's crash numbers must come from a real run).
-  steps_.push_back({"plan_synth", [this] {
+  // the replay's crash numbers must come from a real run). Both steps run
+  // on a class hit too; plan_synth keeps its own cache.
+  steps_.push_back({"plan_synth",
+                    [this] {
                       plan::SynthOptions so;
                       so.window_pages = opts_.plan_window_pages;
                       so.region_pages = opts_.plan_region_pages;
                       report_.plan_cache_hit = synthesize_plan(
                           spec_, report_.candidates, so, store_, &report_.exploit_plan);
                       report_.has_plan = true;
-                    }});
-  steps_.push_back({"plan_verify", [this] {
+                    },
+                    false});
+  steps_.push_back({"plan_verify",
+                    [this] {
                       report_.plan_replay =
                           plan::replay_fresh(binding_for(spec_), report_.exploit_plan);
-                    }});
+                    },
+                    false});
 }
 
 void TargetCell::run_step() {
   CRP_CHECK(next_ < steps_.size());
-  {
-    const Step& step = steps_[next_];
-    StageScope scope(step.name, spec_.id);
-    step.body();
+  const Step& step = steps_[next_];
+  StageScope scope(step.name, spec_.id);
+  if (parked_) {
+    parked_ = false;
+    lookup();
   }
-  ++next_;
-  if (next_ == steps_.size()) {
-    report_.id = spec_.id;
-    report_.cls = spec_.cls;
-  }
+  if (!hit_ || !step.computes) step.body();
+  if (++next_ == publish_at_ && keyed_ && !hit_) lease_.publish(encode_result());
+}
+
+void TargetCell::on_park() {
+  if (!lease_.held()) return;
+  lease_.release();
+  parked_ = true;
+}
+
+bool TargetCell::claim(const std::function<ArtifactKey()>& key) {
+  if (store_ == nullptr) return false;
+  key_ = key();
+  keyed_ = true;
+  return lookup();
+}
+
+/// A hit that fails to decode recomputes without the lease; the publish
+/// then replaces the stored blob.
+bool TargetCell::lookup() {
+  std::string doc;
+  hit_ = lease_.acquire(key_, &doc) && decode_result(doc);
+  if (hit_) report_.cache_hit = true;
+  return hit_;
+}
+
+std::string TargetCell::encode_result() const { return encode_class_report(report_); }
+
+bool TargetCell::decode_result(const std::string& doc) {
+  return decode_class_report(doc, &report_);
 }
 
 namespace {
 
-// The Linux-syscall funnel (§IV-A). The whole verified scan is one cached
-// artifact, so the cell holds the store's single-writer lease from the
-// lookup in taint_trace to the publish in verify — concurrent scans of an
-// identical target compute once, the rest are handed the finished
-// artifact. Guest-running steps label profiler samples with the program
-// name (the Table I column).
+/// The class_report key: the class's input content under the registry id
+/// (candidates carry the id as their target name), and every option the
+/// class steps read.
+ArtifactKey class_report_key(const TargetSpec& spec, u64 content, u64 config) {
+  return ArtifactKey{"class_report", Hasher().str(spec.id).u64v(content).digest(), config};
+}
+
+// The Linux-syscall funnel (§IV-A). The whole verified scan is the class
+// artifact (keyed by syscall_scan_key_for), published once verify is done;
+// the finalize step renders it into the report on a hit as well.
+// Guest-running steps label profiler samples with the program name (the
+// Table I column).
 class ServerCell final : public TargetCell {
  public:
   ServerCell(const CampaignOptions& o, ArtifactStore* s, TargetSpec spec)
       : TargetCell(o, s, std::move(spec),
-                   {{"taint_trace", [this] { trace(); }},
+                   {{"taint_trace", [this] { trace(); }, false},
                     {"candidates", [this] { select(); }},
                     {"verify", [this] { verify(); }},
-                    {"finalize", [this] { finalize(); }}}),
-        lease_(s) {}
-
-  // Park/resume protocol (JobQueue preemption): a parked job may wait in
-  // the queue indefinitely while other jobs for the same key block inside
-  // acquire() — so the lease is released on park and re-taken on the next
-  // step. If another job published the artifact in between, resume turns
-  // into a cache hit and the remaining compute steps are skipped.
-  void on_park() override {
-    if (!lease_.held()) return;
-    lease_.release();
-    parked_ = true;
-  }
+                    {"finalize", [this] { finalize(); }, false}}) {}
 
  private:
-  /// Look the scan up, taking the lease on a miss; true on a hit. A hit
-  /// that fails to decode recomputes without the lease; the publish
-  /// replaces the stored blob.
-  bool claim() {
-    std::string doc;
-    if (lease_.acquire(key_, &doc) && decode_syscall_scan(doc, &scan_.result)) {
-      report_.cache_hit = true;
-      return true;
-    }
-    return false;
-  }
-
-  void resume() {
-    if (!parked_) return;
-    parked_ = false;
-    claim();
+  std::string encode_result() const override { return encode_syscall_scan(scan_.result); }
+  bool decode_result(const std::string& doc) override {
+    return decode_syscall_scan(doc, &scan_.result);
   }
 
   /// Run the test-suite workload under byte-granular taint tracking,
@@ -376,18 +362,13 @@ class ServerCell final : public TargetCell {
     prog_ = spec_.make_program();
     scan_.name = prog_.name;
     obs::ScopedProfTarget prof(prog_.name);
-    if (store_ != nullptr) {
-      key_ = syscall_scan_key_for(prog_, opts_);
-      if (claim()) return;
-    }
+    if (claim([&] { return syscall_scan_key_for(prog_, opts_); })) return;
     scan_.result = analysis::SyscallScanner(prog_, opts_.syscall).discover();
   }
 
   /// Keep the traced pointer-argument sites whose syscall can return
   /// -EFAULT (the paper's §IV-A filter).
   void select() {
-    resume();
-    if (report_.cache_hit) return;
     const std::vector<os::Sys>& efault = os::efault_capable_syscalls();
     for (const analysis::Candidate& c : scan_.result.candidates)
       if (c.pointer_arg > 0 &&
@@ -397,10 +378,8 @@ class ServerCell final : public TargetCell {
 
   /// Verify each candidate in a fresh target instance (corrupt the pointer,
   /// keep driving the workload, classify the outcome), sharded by
-  /// exec::parallel_map and merged in input order, then publish the scan.
+  /// exec::parallel_map and merged in input order.
   void verify() {
-    resume();
-    if (report_.cache_hit) return;
     obs::ScopedProfTarget prof(prog_.name);
     scan_.result.candidates = exec::parallel_map(
         opts_.jobs, cands_,
@@ -420,7 +399,6 @@ class ServerCell final : public TargetCell {
       led.record(obs::LedgerStage::kVerify, verdict_outcome(v.verdict),
                  led.intern(prim), target_id, v.pointer_home.value_or(0), 0);
     }
-    if (store_ != nullptr) lease_.publish(encode_syscall_scan(scan_.result));
   }
 
   void finalize() {
@@ -438,9 +416,6 @@ class ServerCell final : public TargetCell {
   }
 
   analysis::TargetProgram prog_;
-  ArtifactKey key_;
-  CacheLease lease_;
-  bool parked_ = false;  // lease released by on_park(); re-taken by resume()
   std::vector<analysis::Candidate> cands_;
   ServerScan scan_;
 };
@@ -451,7 +426,7 @@ class RuntimeCell final : public TargetCell {
  public:
   RuntimeCell(const CampaignOptions& o, ArtifactStore* s, TargetSpec spec)
       : TargetCell(o, s, std::move(spec),
-                   {{"boot", [this] { boot(); }},
+                   {{"boot", [this] { boot(); }, false},
                     {"signal_scan",
                      [this] {
                        handlers_ = analysis::SignalScanner::scan(kernel_->proc(pid_),
@@ -463,6 +438,14 @@ class RuntimeCell final : public TargetCell {
   void boot() {
     CRP_CHECK(spec_.make_program != nullptr);
     prog_ = spec_.make_program();
+    if (claim([&] {
+          return class_report_key(spec_, program_content_hash(prog_),
+                                  Hasher()
+                                      .u64v(opts_.syscall.seed)
+                                      .u64v(classify_config_hash(opts_.classify))
+                                      .digest());
+        }))
+      return;
     kernel_ = std::make_unique<os::Kernel>();
     pid_ = prog_.instantiate(*kernel_, opts_.syscall.seed);
     kernel_->run(2'000'000);  // let startup install its signal handlers
@@ -485,25 +468,34 @@ class RuntimeCell final : public TargetCell {
 
 // The SEH funnel's shared middle (§IV-C), for browsers and DLL corpora:
 // parse scope tables out of serialized images, then symbolically classify
-// every unique filter — cached by corpus content and ClassifyOptions, so a
-// repeated classification replays the verdicts *and* the counters the
-// benches print.
+// every unique filter.
 class SehCell : public TargetCell {
  protected:
   using TargetCell::TargetCell;
 
-  /// Sharded by exec::parallel_map, merged in input order. Panics on malformed
-  /// blobs: corpora are generated in-process.
-  void seh_extract(const std::vector<std::vector<u8>>& blobs) {
-    content_hash_ = corpus_content_hash(blobs);
-    CRP_CHECK(ex_.add_images_bytes(blobs, opts_.jobs));
+  /// The first step's half: keep the serialized images for seh_extract and
+  /// hash them (the content the class key and the classify key share).
+  void set_blobs(std::vector<std::vector<u8>> blobs) {
+    blobs_ = std::move(blobs);
+    content_hash_ = corpus_content_hash(blobs_);
   }
 
-  void classify() {
+  /// Sharded by exec::parallel_map, merged in input order. Panics on malformed
+  /// blobs: corpora are generated in-process. The extractor keeps its own
+  /// parsed images, so the blobs are freed here.
+  void seh_extract() {
+    CRP_CHECK(ex_.add_images_bytes(blobs_, opts_.jobs));
+    blobs_ = {};
+  }
+
+  /// With `store`, cached by corpus content and ClassifyOptions, so a
+  /// repeated classification replays the verdicts *and* the counters the
+  /// benches print.
+  void classify(ArtifactStore* store) {
     ArtifactKey key{"filter_classify", content_hash_,
                     classify_config_hash(opts_.classify)};
     report_.cache_hit =
-        cached(store_, key, &cls_, decode_classify, encode_classify, [&] {
+        cached(store, key, &cls_, decode_classify, encode_classify, [&] {
           analysis::FilterClassifier fc(opts_.classify);
           ClassifyOutcome o;
           o.filters = fc.classify_all(ex_, opts_.jobs);
@@ -536,6 +528,7 @@ class SehCell : public TargetCell {
     return f;
   }
 
+  std::vector<std::vector<u8>> blobs_;  // the serialized images seh_extract parses
   analysis::SehExtractor ex_;
   u64 content_hash_ = 0;
   ClassifyOutcome cls_;
@@ -547,15 +540,11 @@ class BrowserCell final : public SehCell {
  public:
   BrowserCell(const CampaignOptions& o, ArtifactStore* s, TargetSpec spec)
       : SehCell(o, s, std::move(spec),
-                {{"browse", [this] { browse(); }},
-                 {"seh_extract",
-                  [this] {
-                    std::vector<std::vector<u8>> blobs;
-                    for (const auto& d : browser_->dlls())
-                      blobs.push_back(isa::write_image(*d.image));
-                    seh_extract(blobs);
-                  }},
-                 {"classify", [this] { classify(); }},
+                {{"browse", [this] { browse(); }, false},
+                 {"seh_extract", [this] { seh_extract(); }},
+                 // A browse-option change keeps the DLLs: it reuses their
+                 // classification.
+                 {"classify", [this] { classify(store_); }},
                  {"xref_veh", [this] { xref_veh(); }},
                  {"finalize", [this] { finalize(); }}}) {}
 
@@ -567,6 +556,31 @@ class BrowserCell final : public SehCell {
     // are observed (the §VII-A harvesting pass).
     bopts.defer_start = true;
     browser_ = std::make_unique<targets::BrowserSim>(*kernel_, bopts);
+    std::vector<std::vector<u8>> blobs;
+    for (const auto& d : browser_->dlls()) blobs.push_back(isa::write_image(*d.image));
+    set_blobs(std::move(blobs));
+    // Keyed before any guest code runs: the DLL blobs, the browser's spec
+    // fields, and the options of the traced workload, the classifier and
+    // the VEH scan.
+    if (claim([&] {
+          u64 content = Hasher()
+                            .u64v(static_cast<u64>(bopts.kind))
+                            .u64v(bopts.seed)
+                            .u64v(static_cast<u64>(bopts.filler_dlls))
+                            .u64v(content_hash_)
+                            .digest();
+          u64 config = Hasher()
+                           .u64v(opts_.browse_pages)
+                           .u64v(opts_.browse_budget)
+                           .u64v(classify_config_hash(opts_.classify))
+                           .digest();
+          return class_report_key(spec_, content, config);
+        })) {
+      blobs_ = {};
+      browser_.reset();
+      kernel_.reset();
+      return;
+    }
     tracer_ = std::make_unique<trace::Tracer>(*kernel_, browser_->proc());
     browser_->start();
     browser_->crawl();
@@ -625,18 +639,27 @@ class DllCorpusCell final : public SehCell {
  public:
   DllCorpusCell(const CampaignOptions& o, ArtifactStore* s, TargetSpec spec)
       : SehCell(o, s, std::move(spec),
-                {{"generate",
-                  [this] {
-                    CRP_CHECK(spec_.dll_specs != nullptr);
-                    for (const targets::DllSpec& d : spec_.dll_specs())
-                      blobs_.push_back(
-                          isa::write_image(*targets::generate_dll(d, spec_.seed).image));
-                  }},
-                 {"seh_extract", [this] { seh_extract(blobs_); }},
-                 {"classify", [this] { classify(); }},
+                {{"generate", [this] { generate(); }, false},
+                 {"seh_extract", [this] { seh_extract(); }},
+                 // The class key covers all that classify reads: no step
+                 // cache of its own.
+                 {"classify", [this] { classify(nullptr); }},
                  {"finalize", [this] { finalize(); }}}) {}
 
  private:
+  /// Keyed by the generated blobs and the classifier options.
+  void generate() {
+    CRP_CHECK(spec_.dll_specs != nullptr);
+    std::vector<std::vector<u8>> blobs;
+    for (const targets::DllSpec& d : spec_.dll_specs())
+      blobs.push_back(isa::write_image(*targets::generate_dll(d, spec_.seed).image));
+    set_blobs(std::move(blobs));
+    if (claim([&] {
+          return class_report_key(spec_, content_hash_, classify_config_hash(opts_.classify));
+        }))
+      blobs_ = {};
+  }
+
   void finalize() {
     report_.seh = funnel(nullptr, nullptr);
     report_.usable = static_cast<int>(report_.seh.av_filters);
@@ -644,20 +667,18 @@ class DllCorpusCell final : public SehCell {
                            ex_.images().size(), report_.seh.unique_filters,
                            report_.seh.av_filters);
   }
-
-  std::vector<std::vector<u8>> blobs_;
 };
 
 // The Windows API funnel (§IV-B, §V-B): black-box invalid-pointer fuzzing
-// of the registered API surface (cached by a content hash of the spec
-// table and the probe count), a traced browse, then the fuzzer-approved
+// of the registered API surface, a traced browse, then the fuzzer-approved
 // set reduced against the API log: on-path, script-triggerable,
-// pointer-argument controllability.
+// pointer-argument controllability. The class result is keyed by a content
+// hash of the spec table and the probe count.
 class ApiCorpusCell final : public TargetCell {
  public:
   ApiCorpusCell(const CampaignOptions& o, ArtifactStore* s, TargetSpec spec)
       : TargetCell(o, s, std::move(spec),
-                   {{"api_fuzz", [this] { fuzz(); }},
+                   {{"api_fuzz", [this] { fuzz(); }, false},
                     {"browse", [this] { browse(); }},
                     {"call_sites", [this] { call_sites(); }},
                     {"finalize", [this] { finalize(); }}}) {}
@@ -669,12 +690,14 @@ class ApiCorpusCell final : public TargetCell {
                                           spec_.api.ptr_fraction,
                                           spec_.api.resistant_fraction);
     int probes = opts_.api_probes_per_arg;
-    ArtifactKey key{"api_fuzz", api_surface_hash(*kernel_),
-                    Hasher().u64v(static_cast<u64>(probes)).digest()};
-    report_.cache_hit =
-        cached(store_, key, &fuzz_, decode_api_fuzz, encode_api_fuzz, [&] {
-          return analysis::ApiFuzzer(probes).fuzz_all(*kernel_, opts_.jobs);
-        });
+    if (claim([&] {
+          return class_report_key(spec_, api_surface_hash(*kernel_),
+                                  Hasher().u64v(static_cast<u64>(probes)).digest());
+        })) {
+      kernel_.reset();
+      return;
+    }
+    fuzz_ = analysis::ApiFuzzer(probes).fuzz_all(*kernel_, opts_.jobs);
   }
 
   void browse() {

@@ -8,15 +8,23 @@
 // run_all, render the TargetReport.
 //
 // Each target class has one funnel, a TargetCell whose steps call the
-// analysis:: and plan:: passes directly (steps marked * are cached):
-//   linux-server     taint_trace* -> candidates -> verify -> finalize (the
-//                    whole scan is one artifact, keyed by target content)
+// analysis:: and plan:: passes directly:
+//   linux-server     taint_trace -> candidates -> verify -> finalize
 //   managed-runtime  boot -> signal_scan -> finalize
 //   browser          browse (traced) -> seh_extract -> classify* -> xref_veh
 //                    (coverage xref + VEH harvest + guard audit) -> finalize
-//   dll-corpus       generate -> seh_extract -> classify* -> finalize
-//   api-corpus       api_fuzz* -> browse (traced) -> call_sites -> finalize
+//   dll-corpus       generate -> seh_extract -> classify -> finalize
+//   api-corpus       api_fuzz -> browse (traced) -> call_sites -> finalize
 // CampaignOptions::plan appends plan_synth* -> plan_verify to every class.
+// Each class result is one content-addressed artifact: the first step
+// hashes the class's inputs (images, corpus blobs or API surface) and the
+// options its steps read, and a repeat job costs one store read. Servers
+// store the verified scan (taint_trace), every other class its report
+// (class_report). Steps marked * also cache their own output: a browser's
+// classify under its DLL blobs and the classifier options alone, so a job
+// that changes only the browse options reuses the classification, and
+// plan_synth under the candidates it plans from. plan_verify is never
+// cached.
 // Each step runs under one StageScope named after it: a
 // `pipeline.stage.<step>.{runs,ns}` series, a "stage:<step>" journal span
 // and the profiler's stage label — the names the JobQueue, the JobTracer
@@ -35,13 +43,12 @@
 #include <string>
 #include <vector>
 
-#include "analysis/report.h"
 #include "analysis/seh_analysis.h"
 #include "analysis/syscall_scanner.h"
-#include "analysis/veh_scanner.h"
 #include "pipeline/artifact_store.h"
 #include "pipeline/registry.h"
-#include "plan/replay.h"
+#include "pipeline/target_report.h"
+#include "plan/synth.h"
 
 namespace crp::pipeline {
 
@@ -66,75 +73,6 @@ struct CampaignOptions {
   /// for (the PoCs' demo-window concession).
   u64 plan_window_pages = 1024;
   u64 plan_region_pages = 16;
-};
-
-/// One Linux-syscall-funnel outcome (result.candidates are verified).
-struct ServerScan {
-  std::string name;  // program name (the Table I column)
-  analysis::SyscallScanResult result;
-};
-
-/// SEH-funnel outcome of a browser or DLL corpus: the Table II/III rows and
-/// the extractor/classifier counters the benches print.
-struct SehFunnel {
-  std::vector<analysis::ModuleSehStats> modules;  // one per DLL
-  size_t handlers = 0;
-  size_t unique_filters = 0;
-  size_t catch_all_handlers = 0;
-  size_t av_filters = 0;          // AV-capable after SB (catch-all rows excluded)
-  size_t manual_filters = 0;      // no clean verdict (§VII-A manual review)
-  size_t av_filter_handlers = 0;  // handlers using an AV-capable filter
-  u64 filters_executed = 0;
-  u64 sat_queries = 0;
-  u64 memo_hits = 0;
-};
-
-/// Browser-only outcome: the traced workload, runtime VEH registrations,
-/// and the §VII-B guard-audit tallies.
-struct BrowseOutcome {
-  std::vector<analysis::VehHandlerInfo> veh;
-  size_t unique_pcs = 0;
-  size_t pending_commands = 0;
-  size_t deref_guards = 0;
-  size_t gratuitous_guards = 0;
-  size_t narrow_guards = 0;
-};
-
-/// API-corpus outcome (§V-B).
-struct ApiOutcome {
-  analysis::ApiFunnel funnel;
-  u32 probes_executed = 0;
-  size_t stubs = 0;      // population APIs the browse workload calls
-  size_t api_calls = 0;  // API invocations traced during the browse
-};
-
-/// One whole-target funnel outcome (run_target / run_all).
-struct TargetReport {
-  std::string id;
-  TargetClass cls = TargetClass::kLinuxServer;
-  /// Discovered primitive candidates, class-appropriate.
-  std::vector<analysis::Candidate> candidates;
-  /// Candidates verified usable (servers) / AV-capable handler or VEH
-  /// primitives (browsers, runtimes) / crash-resistant APIs (API corpus).
-  int usable = 0;
-  /// One-line funnel summary for campaign reports.
-  std::string summary;
-  bool cache_hit = false;
-
-  /// Typed per-class results, summary-sized (the daemon retains up to
-  /// JobQueueOptions::retain_terminal reports): each is filled by its
-  /// class's cell and left empty for every other class.
-  ServerScan server;      // kLinuxServer
-  SehFunnel seh;          // kBrowser, kDllCorpus
-  BrowseOutcome browse;   // kBrowser
-  ApiOutcome api;         // kApiCorpus
-
-  /// Exploit-plan epilogue (CampaignOptions::plan): the synthesized plan
-  /// and its fresh-instance replay outcome.
-  bool has_plan = false;
-  bool plan_cache_hit = false;
-  plan::ExploitPlan exploit_plan;
-  plan::ReplayOutcome plan_replay;
 };
 
 /// Render one TargetReport as the canonical campaign block (the exact
@@ -169,6 +107,14 @@ bool synthesize_plan(const TargetSpec& spec,
 /// the cell, and destroying a part-run cell releases whatever it held.
 /// Each class states its step order once, as the (name, body) list it
 /// hands the base class, so that list is also its funnel documentation.
+///
+/// Every class result is one cached artifact, and the cache protocol lives
+/// here: the class's first step builds its inputs and calls claim() with
+/// their content key, which answers a hit or takes the store's
+/// single-writer lease for the class. The lease is held until the last
+/// class step that computes publishes the result (before the plan
+/// epilogue), so concurrent identical jobs compute once. On a hit every step marked
+/// `computes` is skipped; each step still runs under its StageScope.
 class TargetCell {
  public:
   virtual ~TargetCell() = default;
@@ -182,17 +128,18 @@ class TargetCell {
   size_t next_step() const { return next_; }
   bool done() const { return next_ == steps_.size(); }
 
-  /// Run the next step under a StageScope named after it. The final step
-  /// finalizes the report.
+  /// Run the next step under a StageScope named after it. The last class
+  /// step that computes publishes the class result.
   void run_step();
 
   /// The job engine is parking this cell (preemption, or queue teardown):
   /// it may sit queued indefinitely, so it must not keep holding resources
-  /// other jobs block on — in particular an ArtifactStore single-writer
-  /// lease (a parked owner would deadlock every waiter while the waiters
-  /// occupy the workers that could resume it). Cells re-acquire on the
-  /// next run_step().
-  virtual void on_park() {}
+  /// other jobs block on — in particular its class lease (a parked owner
+  /// would deadlock every waiter while the waiters occupy the workers that
+  /// could resume it). The next run_step() re-takes the lease; if another
+  /// job published the result in between, the resume is a hit and the
+  /// remaining computing steps are skipped.
+  void on_park();
 
   /// The finished report (valid once done()).
   TargetReport& report() { return report_; }
@@ -201,6 +148,11 @@ class TargetCell {
   struct Step {
     const char* name;  // stage id: metrics, journal, profiler, JobQueue
     std::function<void()> body;
+    /// False for the steps a hit still runs: the first step (it builds the
+    /// inputs and calls claim()) and a step that turns the cached artifact
+    /// into the report. The class result is published right after the
+    /// last class step that computes.
+    bool computes = true;
   };
 
   /// `steps` is the class funnel; the exploit-plan epilogue (plan_synth,
@@ -208,14 +160,34 @@ class TargetCell {
   TargetCell(const CampaignOptions& opts, ArtifactStore* store, TargetSpec spec,
              std::vector<Step> steps);
 
+  /// Look the class result up under key(), taking the class lease on a
+  /// miss. True on a hit: the result is decoded and report_.cache_hit set.
+  /// With caching off (store_ == nullptr) no key is computed, no lease is
+  /// taken and the answer is false.
+  bool claim(const std::function<ArtifactKey()>& key);
+
+  /// The class result as a store document, and back (false on a malformed
+  /// document, which counts as a miss). The default is the class_report
+  /// codec over report_'s class fields.
+  virtual std::string encode_result() const;
+  virtual bool decode_result(const std::string& doc);
+
   CampaignOptions opts_;
   ArtifactStore* store_;  // nullptr: caching off for this cell
   TargetSpec spec_;
   TargetReport report_;
 
  private:
+  bool lookup();
+
   std::vector<Step> steps_;
+  size_t publish_at_ = 0;  // steps done when the class result is complete
   size_t next_ = 0;
+  ArtifactKey key_;
+  bool keyed_ = false;   // claim() ran: publish at publish_at_
+  bool hit_ = false;     // the class result came from the store
+  bool parked_ = false;  // on_park() released the lease; the next step re-takes it
+  CacheLease lease_;
 };
 
 /// Plan the class-appropriate cell for `spec`. `store` == nullptr disables

@@ -6,19 +6,23 @@
 // mismatch, which the cached step treats as a miss — bumping a kVersion
 // below safely invalidates stale disk artifacts.
 //
-// Only value-like step outputs are encoded: verified syscall scans (the
-// server cell), filter-classification outcomes (classify), API fuzz
-// results (api_fuzz). Strings are length-prefixed and %-escaped (util
-// put_str), so empty strings and notes with spaces survive the token format.
-// Decoders are total: any malformed document, bad escapes included, returns
-// false instead of throwing.
+// Two kinds of artifact are encoded. Class results, one per cell: a
+// server's verified syscall scan (syscall_scan), and every other class's
+// report (class_report: the class fields of a TargetReport). One step
+// output: a browser's filter-classification outcome (classify), which a
+// job that changes only the browse options reuses. Strings are
+// length-prefixed and %-escaped (util put_str), so empty strings and notes
+// with spaces survive the token format. Decoders are total: any malformed
+// document (bad escapes, counts past the end of the document) returns
+// false instead of throwing, and none sizes a buffer from a decoded count.
+// decode_class_report also rejects an enum value past the enum's last.
 #pragma once
 
 #include <string>
 
-#include "analysis/api_analysis.h"
 #include "analysis/seh_analysis.h"
 #include "analysis/syscall_scanner.h"
+#include "pipeline/target_report.h"
 
 namespace crp::pipeline {
 
@@ -39,7 +43,11 @@ bool decode_syscall_scan(const std::string& doc, analysis::SyscallScanResult* ou
 std::string encode_classify(const ClassifyOutcome& out);
 bool decode_classify(const std::string& doc, ClassifyOutcome* out);
 
-std::string encode_api_fuzz(const analysis::ApiFuzzResult& res);
-bool decode_api_fuzz(const std::string& doc, analysis::ApiFuzzResult* out);
+/// A non-server class result: candidates, usable, summary, seh, browse and
+/// api. The decoder writes exactly those fields of *out (the id and class
+/// the cell was built with, the plan epilogue, the cache flags and the
+/// server scan are left as they are).
+std::string encode_class_report(const TargetReport& rep);
+bool decode_class_report(const std::string& doc, TargetReport* out);
 
 }  // namespace crp::pipeline

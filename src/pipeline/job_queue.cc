@@ -383,7 +383,10 @@ void JobQueue::drive(std::unique_lock<std::mutex>& lk, Job* job) {
     // which step runs since when. Planning only copies the spec and builds
     // the step table, so it happens here too.
     if (job->cell == nullptr) {
-      ArtifactStore* store = job->spec.opts.cache ? opts_.store : nullptr;
+      // A disabled store (CRP_CACHE=0) is a bypass: the cell need not hash
+      // its inputs for a key nobody reads.
+      ArtifactStore* store =
+          job->spec.opts.cache && opts_.store->enabled() ? opts_.store : nullptr;
       job->cell = plan_target(job->spec.opts, store, job->spec.target);
     }
     const size_t step_idx = job->cell->next_step();

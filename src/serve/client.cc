@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -67,6 +68,9 @@ bool Client::connect(u16 port, std::string* err) {
     ::close(fd);
     return false;
   }
+  // Each request goes out in one send; do not hold it for the daemon's ACK.
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
   fd_ = fd;
   return true;
 }

@@ -36,6 +36,10 @@ Daemon::Daemon(DaemonOptions opts)
   c_rej_tenants_ = &reg.counter("crpd.admission.rejected_tenants");
   c_conns_opened_ = &reg.counter("crpd.conns.opened");
   c_conns_closed_ = &reg.counter("crpd.conns.closed");
+  // The JobQueue watchdog bumps these on its first flag; a scrape of a
+  // clean daemon reads them at 0.
+  reg.counter("crpd.watchdog.step_stalls");
+  reg.counter("crpd.watchdog.lease_stalls");
   // Arm end-to-end tracing: every accepted SUBMIT gets a trace id and its
   // lifecycle spans. Batch tools never arm, so their output is untouched.
   obs::JobTracer::global().set_armed(true);

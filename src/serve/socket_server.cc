@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -161,6 +162,10 @@ void SocketServer::accept_clients() {
       ::close(client);
       continue;
     }
+    // Every reply is queued whole and drain_out sends all that is pending,
+    // so Nagle would only hold a reply until the peer's delayed ACK.
+    int one = 1;
+    ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     ConnId id;
     {
       std::lock_guard<std::mutex> lk(mu_);

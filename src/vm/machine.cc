@@ -132,8 +132,6 @@ void Machine::prof_sample(gva_t pc, u16 extra_flags) {
   }
   const obs::ProfContext& ctx = obs::Profiler::context();
   obs::ProfSample s;
-  s.vcount = instret_;
-  s.pc = pc;
   s.block = block;
   s.stage = ctx.stage;
   s.target = ctx.target;

@@ -5,6 +5,7 @@
 // pre-refactor manual discover()+verify() wiring, and the paper's
 // Windows-side tables rendered from run_target reports.
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -231,16 +232,15 @@ TEST(Codec, EmptyStringFieldsRoundTrip) {
 }
 
 TEST(Codec, RejectsWrongKindAndVersion) {
-  analysis::ApiFuzzResult fuzz;
-  fuzz.total_apis = 10;
-  std::string doc = encode_api_fuzz(fuzz);
+  ClassifyOutcome fresh;
+  fresh.filters_executed = 10;
+  std::string doc = encode_classify(fresh);
   analysis::SyscallScanResult scan;
   EXPECT_FALSE(decode_syscall_scan(doc, &scan));  // kind mismatch -> miss
   ClassifyOutcome cls;
   EXPECT_FALSE(decode_classify("crp-artifact v999 filter_classify\n", &cls));
-  analysis::ApiFuzzResult back;
-  EXPECT_TRUE(decode_api_fuzz(doc, &back));
-  EXPECT_EQ(back.total_apis, 10u);
+  ASSERT_TRUE(decode_classify(doc, &cls));
+  EXPECT_EQ(cls.filters_executed, 10u);
 
   // A string field whose escape is not '%' plus two hex digits makes the
   // document malformed: a miss, never an exception.
@@ -269,6 +269,81 @@ TEST(Codec, RejectsWrongKindAndVersion) {
     EXPECT_FALSE(decode_syscall_scan(scan_doc, &scan)) << bad;
     EXPECT_FALSE(decode_classify(cls_doc, &cls)) << bad;
   }
+}
+
+/// The class fields of a report (what the class_report artifact holds),
+/// compared field by field, not through the codec under test.
+void expect_same_class_result(const TargetReport& got, const TargetReport& want) {
+  EXPECT_TRUE(got.candidates == want.candidates) << got.id;
+  EXPECT_EQ(got.usable, want.usable);
+  EXPECT_EQ(got.summary, want.summary);
+  EXPECT_TRUE(got.seh == want.seh) << got.id;
+  EXPECT_TRUE(got.browse == want.browse) << got.id;
+  EXPECT_TRUE(got.api == want.api) << got.id;
+}
+
+TEST(Codec, ClassReportRoundTripsEveryField) {
+  TargetReport rep;
+  rep.id = "browser/some sim";
+  rep.cls = TargetClass::kBrowser;
+  rep.usable = -3;
+  rep.summary = "4 DLLs, 100% odd\tsummary";
+  analysis::Candidate c;
+  c.cls = analysis::PrimitiveClass::kWinApi;
+  c.target = "";
+  c.syscall = os::Sys::kRecv;
+  c.pointer_arg = 2;
+  c.taint_mask = ~0ull;
+  c.pointer_home = 0x1234;
+  c.controllable_home = true;
+  c.api_id = 77;
+  c.api_name = "ReadFileEx";
+  c.call_site = 0x401000;
+  c.script_triggerable = true;
+  c.exclusion = analysis::ExclusionReason::kVolatileHeap;
+  c.module = "jscript9 sim.dll";
+  c.scope_begin = 0x10;
+  c.scope_end = 0x40;
+  c.filter_off = 0x80;
+  c.catch_all = true;
+  c.verdict = analysis::Verdict::kFalsePositive;
+  c.note = "a note";
+  rep.candidates = {c, analysis::Candidate{}};
+  rep.seh = {{}, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  analysis::ModuleSehStats m;
+  m.module = "mshtml_sim";
+  m.machine = isa::Machine::kX32;
+  m.guarded_total = 11;
+  m.guarded_av_capable = 12;
+  m.guarded_on_path = 13;
+  m.trigger_events = 14;
+  m.filters_total = 15;
+  m.filters_av_capable = 16;
+  rep.seh.modules = {m, analysis::ModuleSehStats{}};
+  rep.browse = {{}, 21, 22, 23, 24, 25};
+  rep.browse.veh.push_back({0x7000, "?", 0x30, analysis::FilterVerdict::kAcceptsAv, 5});
+  rep.api = {{31, 32, 33, 34, 35, 36, {{"stack-pointer", 2}, {"none", 7}}}, 37, 38, 39};
+
+  // The id and class are the cell's own (set from the spec), and the plan
+  // fields are not the codec's: all are left as they are.
+  TargetReport back;
+  back.id = "corpus/other";
+  back.cls = TargetClass::kDllCorpus;
+  back.has_plan = true;
+  ASSERT_TRUE(decode_class_report(encode_class_report(rep), &back));
+  expect_same_class_result(back, rep);
+  EXPECT_EQ(back.id, "corpus/other");
+  EXPECT_EQ(back.cls, TargetClass::kDllCorpus);
+  EXPECT_TRUE(back.has_plan);
+  EXPECT_FALSE(back.cache_hit);
+
+  // An enum past its last value is a malformed document, not a cast.
+  std::string doc = encode_class_report(rep);
+  size_t at = doc.find("\ndll 1 11 ");
+  ASSERT_NE(at, std::string::npos);
+  doc.replace(at, 7, "\ndll 9 ");
+  EXPECT_FALSE(decode_class_report(doc, &back));
+  EXPECT_FALSE(decode_class_report(encode_classify({}), &back));
 }
 
 // --- cache keys --------------------------------------------------------------
@@ -657,61 +732,84 @@ TEST(JobQueue, FailingCellReportsTheError) {
 }
 
 TEST(JobQueue, PreemptedLeaseHolderDoesNotDeadlockSameKeyJobs) {
-  // Regression: a priority-0 job takes the store's single-writer lease in
-  // its trace step; two priority-1 submissions of the same target preempt
-  // it at the step boundary and then block inside acquire() on both
-  // workers. Parking must release the lease (promoting a waiter to owner)
-  // or the parked job can never be rescheduled and the pool deadlocks.
-  ArtifactStore store;
-  JobQueue q(JobQueueOptions{2, &store});
+  // Regression: a priority-0 job takes its class lease in its first step
+  // (a server's taint_trace, a browser's browse); two priority-1
+  // submissions of the same target preempt it at the step boundary and
+  // then block inside acquire() on both workers. Parking must release the
+  // lease (promoting a waiter to owner) or the parked job can never be
+  // rescheduled and the pool deadlocks. The parked job resumes to find
+  // the result in the store.
+  //
+  // Held after verify instead (step 3 of taint_trace, candidates, verify,
+  // finalize), a server job has already published its scan: the rivals
+  // read it and nothing is computed twice.
+  struct Case {
+    const char* id;
+    size_t hold_step;
+  };
+  for (Case k : {Case{"server/nginx_sim", 1}, Case{"browser/iexplore_sim", 1},
+                 Case{"server/nginx_sim", 3}}) {
+    const char* id = k.id;
+    ArtifactStore store;
+    store.set_enabled(true);
+    store.set_dir("");
+    JobQueue q(JobQueueOptions{2, &store});
 
-  std::mutex mu;
-  std::condition_variable cv;
-  bool lease_taken = false;   // low finished its trace step (lease held)
-  bool highs_queued = false;  // test injected the two same-key rivals
-  q.set_event_sink([&](const JobEvent& ev) {
-    // The first step-1 running event is the low job completing its trace
-    // step (no other job exists yet). Hold it at the boundary (sink runs
-    // on the driving worker, outside the queue lock) until both rivals
-    // are submitted — the preemption check then sees them
-    // deterministically.
-    if (ev.state != JobState::kRunning || ev.step != 1) return;
-    std::unique_lock<std::mutex> lk(mu);
-    if (lease_taken) return;  // later jobs' step-1 events pass through
-    lease_taken = true;
+    std::mutex mu;
+    std::condition_variable cv;
+    bool lease_taken = false;   // low reached the held step boundary
+    bool highs_queued = false;  // test injected the two same-key rivals
+    q.set_event_sink([&](const JobEvent& ev) {
+      // The first such running event is the low job completing that step
+      // (no other job exists yet). Hold it at the boundary (sink runs on
+      // the driving worker, outside the queue lock) until both rivals are
+      // submitted — the preemption check then sees them deterministically.
+      if (ev.state != JobState::kRunning || ev.step != k.hold_step) return;
+      std::unique_lock<std::mutex> lk(mu);
+      if (lease_taken) return;  // later jobs' events pass through
+      lease_taken = true;
+      cv.notify_all();
+      cv.wait(lk, [&] { return highs_queued; });
+    });
+
+    JobSpec low;
+    low.target = registered(id);
+    low.priority = 0;
+    JobId low_id = q.submit(low);
+    {
+      std::unique_lock<std::mutex> lk(mu);
+      cv.wait(lk, [&] { return lease_taken; });
+    }
+    JobSpec high = low;
+    high.priority = 1;
+    JobId a_id = q.submit(high);
+    JobId b_id = q.submit(high);
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      highs_queued = true;
+    }
     cv.notify_all();
-    cv.wait(lk, [&] { return highs_queued; });
-  });
 
-  JobSpec low;
-  low.target = nginx_spec();
-  low.priority = 0;
-  JobId low_id = q.submit(std::move(low));
-  {
-    std::unique_lock<std::mutex> lk(mu);
-    cv.wait(lk, [&] { return lease_taken; });
+    JobResult ra = q.wait(a_id);
+    JobResult rb = q.wait(b_id);
+    JobResult rl = q.wait(low_id);
+    ASSERT_EQ(ra.state, JobState::kDone) << id;
+    ASSERT_EQ(rb.state, JobState::kDone) << id;
+    ASSERT_EQ(rl.state, JobState::kDone) << id;
+    if (k.hold_step == 1) {
+      EXPECT_TRUE(rl.report.cache_hit) << id;
+    } else {
+      EXPECT_FALSE(rl.report.cache_hit) << id;
+      EXPECT_TRUE(ra.report.cache_hit) << id;
+      EXPECT_TRUE(rb.report.cache_hit) << id;
+      EXPECT_EQ(store.misses(), 1u) << id;
+      EXPECT_EQ(store.stores(), 1u) << id;
+    }
+    EXPECT_EQ(rl.steps_done, rl.steps_total) << id;
+    std::string rendered = render_report(ra.report, /*cache_tag=*/false);
+    EXPECT_EQ(render_report(rb.report, false), rendered) << id;
+    EXPECT_EQ(render_report(rl.report, false), rendered) << id;
   }
-  JobSpec high_a;
-  high_a.target = nginx_spec();
-  high_a.priority = 1;
-  JobSpec high_b = high_a;
-  JobId a_id = q.submit(std::move(high_a));
-  JobId b_id = q.submit(std::move(high_b));
-  {
-    std::lock_guard<std::mutex> lk(mu);
-    highs_queued = true;
-  }
-  cv.notify_all();
-
-  JobResult ra = q.wait(a_id);
-  JobResult rb = q.wait(b_id);
-  JobResult rl = q.wait(low_id);
-  ASSERT_EQ(ra.state, JobState::kDone);
-  ASSERT_EQ(rb.state, JobState::kDone);
-  ASSERT_EQ(rl.state, JobState::kDone);
-  std::string rendered = render_report(ra.report, /*cache_tag=*/false);
-  EXPECT_EQ(render_report(rb.report, false), rendered);
-  EXPECT_EQ(render_report(rl.report, false), rendered);
 }
 
 TEST(JobQueue, TerminalJobsAreForgottenBeyondRetention) {
@@ -775,24 +873,145 @@ TEST(JobQueue, ThreadedWorkersDrainConcurrentSubmissions) {
 }
 
 TEST(JobQueue, ConcurrentIdenticalClassifyJobsComputeOnce) {
-  // classify holds the store's single-writer lease like the server scan:
-  // two identical corpus jobs on two workers publish the artifact once.
-  ArtifactStore store;
-  store.set_enabled(true);
-  store.set_dir("");
-  JobQueue q(JobQueueOptions{2, &store});
-  JobSpec js;
-  js.target = registered("corpus/dll_x64");
-  JobId a = q.submit(js);
-  JobId b = q.submit(js);
-  JobResult ra = q.wait(a);
-  JobResult rb = q.wait(b);
-  ASSERT_EQ(ra.state, JobState::kDone);
-  ASSERT_EQ(rb.state, JobState::kDone);
-  EXPECT_EQ(render_report(ra.report, false), render_report(rb.report, false));
-  EXPECT_EQ(store.misses(), 1u);
-  EXPECT_EQ(store.hits(), 1u);
-  EXPECT_EQ(store.stores(), 1u);
+  // A corpus or browser cell holds its class lease from its first step to
+  // finalize (a browser takes it in browse, before the tracer exists): two
+  // identical jobs on two workers compute once, and the other job waits
+  // and reads the class_report. One corpus computation publishes the
+  // class_report alone (a miss and a store); a browser's classify step
+  // also takes the filter_classify lease inside the class lease and
+  // publishes that artifact too.
+  struct Case {
+    const char* id;
+    u64 artifacts;  // misses and stores of one computation
+  };
+  for (Case k : {Case{"corpus/dll_x64", 1}, Case{"browser/iexplore_sim", 2}}) {
+    const char* id = k.id;
+    ArtifactStore store;
+    store.set_enabled(true);
+    store.set_dir("");
+    JobQueue q(JobQueueOptions{2, &store});
+    JobSpec js;
+    js.target = registered(id);
+    JobId a = q.submit(js);
+    JobId b = q.submit(js);
+    JobResult ra = q.wait(a);
+    JobResult rb = q.wait(b);
+    ASSERT_EQ(ra.state, JobState::kDone) << id;
+    ASSERT_EQ(rb.state, JobState::kDone) << id;
+    EXPECT_EQ(render_report(ra.report, false), render_report(rb.report, false)) << id;
+    EXPECT_NE(ra.report.cache_hit, rb.report.cache_hit) << id;
+    EXPECT_EQ(store.misses(), k.artifacts) << id;
+    EXPECT_EQ(store.hits(), 1u) << id;
+    EXPECT_EQ(store.stores(), k.artifacts) << id;
+  }
+}
+
+// --- class results: one artifact per cell ------------------------------------
+
+/// The registry's non-server classes, cheapest first.
+constexpr const char* kNonServer[] = {"runtime/jvm_sim", "corpus/dll_x64",
+                                      "browser/iexplore_sim", "corpus/winapi"};
+
+TEST(Campaign, WarmNonServerClassesAreHitsThatRunNoGuestCode) {
+  for (const char* id : kNonServer) {
+    ArtifactStore store;
+    store.set_enabled(true);
+    store.set_dir("");
+    Campaign campaign({}, &store);
+    TargetReport cold = campaign.run_target(registered(id));
+
+    std::map<std::string, i64> want;
+    std::unique_ptr<TargetCell> cell = plan_target({}, nullptr, registered(id));
+    for (size_t i = 0; i < cell->step_count(); ++i)
+      want[strf("pipeline.stage.%s.runs", cell->step_name(i))] = 1;
+
+    obs::Snapshot before = obs::Registry::global().snapshot();
+    u64 hits = store.hits(), stores = store.stores();
+    TargetReport warm = campaign.run_target(registered(id));
+    obs::Snapshot delta = obs::Registry::diff(before, obs::Registry::global().snapshot());
+    EXPECT_TRUE(warm.cache_hit) << id;
+    EXPECT_EQ(store.hits(), hits + 1) << id;  // one store read, nothing else
+    EXPECT_EQ(store.stores(), stores) << id;
+    EXPECT_EQ(delta.num("vm.instr_retired"), 0) << id;
+    // Skipped steps still run under their StageScope, once each.
+    std::map<std::string, i64> got;
+    for (const auto& [name, v] : delta.values)
+      if (name.rfind("pipeline.stage.", 0) == 0 && v.kind == obs::MetricKind::kCounter &&
+          v.num != 0)
+        got[name] = v.num;
+    EXPECT_EQ(got, want) << id;
+    EXPECT_EQ(render_report(warm, false), render_report(cold, false));
+    expect_same_class_result(warm, cold);
+  }
+}
+
+TEST(Campaign, AClassHitStillRunsThePlanEpilogue) {
+  // plan_synth (its own cache) and plan_verify (never cached) follow the
+  // class result: a warm jvm_sim or nginx_sim job with plan=1 replays a
+  // fresh instance like the cold one.
+  for (const char* id : {"runtime/jvm_sim", "server/nginx_sim"}) {
+    ArtifactStore store;
+    store.set_enabled(true);
+    store.set_dir("");
+    CampaignOptions opts;
+    opts.plan = true;
+    Campaign campaign(opts, &store);
+    TargetReport cold = campaign.run_target(registered(id));
+    TargetReport warm = campaign.run_target(registered(id));
+    EXPECT_TRUE(warm.cache_hit) << id;
+    ASSERT_TRUE(warm.has_plan) << id;
+    EXPECT_TRUE(warm.plan_cache_hit) << id;
+    EXPECT_GT(warm.plan_replay.probes, 0u) << id;
+    EXPECT_EQ(warm.plan_replay.summary(), cold.plan_replay.summary()) << id;
+    EXPECT_EQ(render_report(warm, false), render_report(cold, false)) << id;
+  }
+}
+
+TEST(Campaign, ClassReportKeyMovesWithOptionsAndImageBytes) {
+  // Each change below is one input the class steps read: the second run
+  // must compute (a class_report miss that publishes anew), not replay.
+  // The answer is the second run's store traffic: {misses, hits, stores}.
+  using Traffic = std::array<u64, 3>;
+  auto rerun = [](const char* id, CampaignOptions changed, TargetSpec spec) {
+    ArtifactStore store;
+    store.set_enabled(true);
+    store.set_dir("");
+    Campaign({}, &store).run_target(registered(id));
+    Traffic before{store.misses(), store.hits(), store.stores()};
+    Campaign(changed, &store).run_target(spec);
+    return Traffic{store.misses() - before[0], store.hits() - before[1],
+                   store.stores() - before[2]};
+  };
+  const Traffic recomputes{1, 0, 1};
+  CampaignOptions seed;
+  seed.syscall.seed = 12345;
+  EXPECT_EQ(rerun("runtime/jvm_sim", seed, registered("runtime/jvm_sim")), recomputes);
+  // Only the browse changed: the browser reuses its DLLs' classification.
+  CampaignOptions pages;
+  pages.browse_pages = 499;
+  EXPECT_EQ(rerun("browser/iexplore_sim", pages, registered("browser/iexplore_sim")),
+            (Traffic{1, 1, 1}));
+  CampaignOptions paths;
+  paths.classify.max_paths += 1;
+  EXPECT_EQ(rerun("corpus/dll_x64", paths, registered("corpus/dll_x64")), recomputes);
+  CampaignOptions probes;
+  probes.api_probes_per_arg = 2;
+  EXPECT_EQ(rerun("corpus/winapi", probes, registered("corpus/winapi")), recomputes);
+
+  // One flipped byte in the last section of the runtime's main image.
+  TargetSpec flipped = registered("runtime/jvm_sim");
+  flipped.make_program = [inner = flipped.make_program] {
+    analysis::TargetProgram prog = inner();
+    auto img = std::make_shared<isa::Image>(*prog.images.back());
+    std::vector<u8>& bytes = img->sections.back().bytes;
+    CRP_CHECK(!bytes.empty());
+    bytes.back() ^= 0x01;
+    prog.images.back() = img;
+    return prog;
+  };
+  EXPECT_EQ(rerun("runtime/jvm_sim", {}, flipped), recomputes);
+  // The unchanged spec and options are a hit (the control for the above).
+  EXPECT_EQ(rerun("runtime/jvm_sim", {}, registered("runtime/jvm_sim")), (Traffic{0, 1, 0}));
 }
 
 // --- stall watchdog (JobQueue::watchdog_pass) --------------------------------

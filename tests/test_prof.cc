@@ -101,9 +101,9 @@ TEST(Profiler, HeatIsExactAndSortedDeterministically) {
   u32 blk_b = p.intern("mod+0x20");
   u32 stage = p.intern("verify");
   for (int i = 0; i < 5; ++i)
-    p.record({static_cast<u64>(i), 0x10, blk_a, stage, 0, 0, 0});
+    p.record({blk_a, stage, 0, 0, 0});
   for (int i = 0; i < 3; ++i)
-    p.record({static_cast<u64>(i), 0x20, blk_b, stage, 0, 0, 0});
+    p.record({blk_b, stage, 0, 0, 0});
 
   std::vector<Profiler::HeatRow> rows = p.heat();
   ASSERT_EQ(rows.size(), 2u);
@@ -132,8 +132,8 @@ TEST(Profiler, HeatTieBreaksOnNamesNotIds) {
     p.set_interval(1);
     u32 first = p.intern(swap ? "mod+0x200" : "mod+0x100");
     u32 second = p.intern(swap ? "mod+0x100" : "mod+0x200");
-    p.record({0, 0, first, 0, 0, 0, 0});
-    p.record({1, 0, second, 0, 0, 0, 0});
+    p.record({first, 0, 0, 0, 0});
+    p.record({second, 0, 0, 0, 0});
     return p.heat();
   };
   EXPECT_EQ(run(false), run(true));
@@ -145,7 +145,7 @@ TEST(Profiler, CollapsedAndReportShapes) {
   u32 blk = p.intern("nginx_sim+0x40");
   u32 stage = p.intern("verify");
   u32 target = p.intern("nginx_sim");
-  p.record({0, 0x40, blk, stage, target, 0, kProfProbe});
+  p.record({blk, stage, target, 0, kProfProbe});
 
   std::string folded = p.collapsed();
   EXPECT_NE(folded.find("nginx_sim;verify;-;nginx_sim+0x40 [probe] 1"),

@@ -7,6 +7,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -94,7 +95,7 @@ TEST(Respond, JsonExportsEscapeInternedNames) {
   expect_escaped(led.encode_jsonl(led.snapshot()), "ledger JSONL");
 
   Profiler& prof = Profiler::global();
-  prof.record({0, 0, prof.intern(name), 0, 0, 0, 0});
+  prof.record({prof.intern(name), 0, 0, 0, 0});
   expect_escaped(respond("/prof.json").body, "/prof.json");
   prof.clear();
 
@@ -257,6 +258,62 @@ TEST(Daemon, PingBadVerbAndUnknownIds) {
   EXPECT_EQ(Client::parse_reply(reply).code, 404);
   ASSERT_TRUE(c.request("SUBMIT bad..tenant! server/nginx_sim", &reply));
   EXPECT_EQ(Client::parse_reply(reply).code, 400);
+}
+
+/// This process's connected TCP sockets on either end of `port`: the
+/// accepted side (local port) and the client side (peer port), and how
+/// many of them read TCP_NODELAY == 1.
+struct PortSockets {
+  int accepted = 0;
+  int client = 0;
+  int nodelay = 0;
+};
+
+PortSockets sockets_on(u16 port) {
+  PortSockets s;
+  for (int fd = 0; fd < 4096; ++fd) {
+    int type = 0;
+    socklen_t len = sizeof type;
+    sockaddr_in self{}, peer{};
+    socklen_t self_len = sizeof self, peer_len = sizeof peer;
+    if (::getsockopt(fd, SOL_SOCKET, SO_TYPE, &type, &len) != 0 || type != SOCK_STREAM ||
+        ::getsockname(fd, reinterpret_cast<sockaddr*>(&self), &self_len) != 0 ||
+        self.sin_family != AF_INET ||
+        ::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &peer_len) != 0)
+      continue;  // not a connected IPv4 stream (the listener has no peer)
+    bool accepted = ntohs(self.sin_port) == port;
+    bool client = ntohs(peer.sin_port) == port;
+    if (!accepted && !client) continue;
+    int on = 0;
+    len = sizeof on;
+    s.accepted += accepted ? 1 : 0;
+    s.client += client ? 1 : 0;
+    s.nodelay += ::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, &len) == 0 && on == 1;
+  }
+  return s;
+}
+
+TEST(Daemon, BothEndsOfEveryConnectionSetTcpNodelay) {
+  // Replies and requests are written whole, so Nagle could only delay
+  // them until the peer's delayed ACK: both ends turn it off.
+  AdmissionDaemon ad;
+  Client a, b;
+  ASSERT_TRUE(a.connect(ad.daemon.port()));
+  ASSERT_TRUE(b.connect(ad.daemon.port()));
+  std::string reply;
+  ASSERT_TRUE(a.request("PING", &reply));  // answered: the daemon accepted it
+  ASSERT_TRUE(b.request("PING", &reply));
+  PortSockets s = sockets_on(ad.daemon.port());
+  EXPECT_EQ(s.accepted, 2);
+  EXPECT_EQ(s.client, 2);
+  EXPECT_EQ(s.nodelay, 4);
+}
+
+TEST(Daemon, WatchdogSeriesExistBeforeTheFirstFlag) {
+  AdmissionDaemon ad;
+  obs::serve::Response r = obs::serve::respond("/metrics");
+  EXPECT_NE(r.body.find("crp_crpd_watchdog_step_stalls"), std::string::npos);
+  EXPECT_NE(r.body.find("crp_crpd_watchdog_lease_stalls"), std::string::npos);
 }
 
 TEST(Daemon, MalformedJobIdsAreRejectedNotTruncated) {

@@ -381,11 +381,6 @@ std::vector<CodecCase> codec_cases(chaos::Gen& gen) {
     f.handlers_using = rng.below(64);
     cls.filters.push_back(f);
   }
-  analysis::ApiFuzzResult fuzz;
-  fuzz.total_apis = static_cast<u32>(rng.next());
-  fuzz.with_pointer_args = static_cast<u32>(rng.next());
-  fuzz.probes_executed = static_cast<u32>(rng.next());
-  for (int i = 0; i < 6; ++i) fuzz.crash_resistant.insert(static_cast<u32>(rng.next()));
   plan::ExploitPlan p;
   p.target_id = "server/nginx_sim";
   p.surface = plan::Surface::kNginxRecv;
@@ -399,10 +394,48 @@ std::vector<CodecCase> codec_cases(chaos::Gen& gen) {
   p.scan.seed = rng.next();
   p.leak.offsets = {8, 16, rng.next()};
   p.hijack.offset = 32;
+  pipeline::TargetReport rep;
+  rep.usable = static_cast<int>(rng.below(100));
+  rep.summary = notes[rng.below(4)];
+  for (int i = 0; i < 3; ++i) {
+    analysis::Candidate c = scan.candidates[static_cast<size_t>(i)];
+    c.cls = static_cast<analysis::PrimitiveClass>(rng.below(4));
+    c.api_id = static_cast<u32>(rng.next());
+    c.api_name = i == 0 ? "" : "CreateFileW";
+    c.call_site = rng.next();
+    c.script_triggerable = i == 2;
+    c.exclusion = static_cast<analysis::ExclusionReason>(rng.below(4));
+    c.module = notes[rng.below(4)];
+    c.scope_begin = rng.below(4096);
+    c.scope_end = c.scope_begin + rng.below(64);
+    c.filter_off = rng.next();
+    c.catch_all = i == 1;
+    rep.candidates.push_back(c);
+  }
+  rep.seh.handlers = rng.below(8000);
+  rep.seh.unique_filters = rng.below(6000);
+  rep.seh.memo_hits = rng.next();
+  for (int i = 0; i < 2; ++i) {
+    analysis::ModuleSehStats m;
+    m.module = i ? "mshtml_sim" : "";
+    m.machine = i ? isa::Machine::kX32 : isa::Machine::kX64;
+    m.guarded_total = rng.below(500);
+    m.trigger_events = rng.next();
+    m.filters_av_capable = rng.below(50);
+    rep.seh.modules.push_back(m);
+  }
+  rep.browse.unique_pcs = rng.below(1 << 20);
+  rep.browse.narrow_guards = rng.below(5000);
+  rep.browse.veh.push_back({rng.next(), "?", rng.below(4096),
+                            static_cast<analysis::FilterVerdict>(rng.below(3)), 7});
+  rep.api.funnel.total = static_cast<u32>(rng.next());
+  rep.api.funnel.controllable = static_cast<u32>(rng.below(30));
+  rep.api.funnel.exclusion_histogram = {{"stack-pointer", 3}, {"odd reason%", 1}};
+  rep.api.stubs = rng.below(400);
 
-  using analysis::ApiFuzzResult;
   using analysis::SyscallScanResult;
   using pipeline::ClassifyOutcome;
+  using pipeline::TargetReport;
   return {
       {"syscall_scan", pipeline::encode_syscall_scan(scan),
        reencode<SyscallScanResult, pipeline::decode_syscall_scan,
@@ -411,11 +444,11 @@ std::vector<CodecCase> codec_cases(chaos::Gen& gen) {
       {"filter_classify", pipeline::encode_classify(cls),
        reencode<ClassifyOutcome, pipeline::decode_classify, pipeline::encode_classify>,
        false},
-      {"api_fuzz", pipeline::encode_api_fuzz(fuzz),
-       reencode<ApiFuzzResult, pipeline::decode_api_fuzz, pipeline::encode_api_fuzz>,
-       false},
       {"plan", plan::encode_plan(p),
        reencode<plan::ExploitPlan, plan::decode_plan, plan::encode_plan>, true},
+      {"class_report", pipeline::encode_class_report(rep),
+       reencode<TargetReport, pipeline::decode_class_report, pipeline::encode_class_report>,
+       false},
   };
 }
 
@@ -442,8 +475,9 @@ std::string mutate(Rng& rng, const std::string& doc, const std::string& other,
       // A count field (a tag followed by a number) rewritten to 2^63.
       *what = "count";
       std::vector<std::pair<size_t, size_t>> counts;  // (offset, length) of the number
-      for (const char* tag : {"observed ", "candidates ", "filters ", "resistant ",
-                              "leak ", "target ", "primitive ", "rationale "})
+      for (const char* tag : {"observed ", "candidates ", "filters ",
+                              "leak ", "modules ", "veh ", "exclusions ", "target ",
+                              "primitive ", "rationale ", "summary ", "reason "})
         for (size_t at = m.find(tag); at != std::string::npos; at = m.find(tag, at + 1)) {
           size_t lo = at + std::strlen(tag), hi = lo;
           while (hi < m.size() && std::isdigit(static_cast<unsigned char>(m[hi]))) ++hi;
@@ -511,14 +545,23 @@ std::optional<std::string> cache_cold_warm_body(u64 seed) {
   copts.syscall.discover_budget = kSweepDiscoverBudget;
   copts.syscall.verify_budget = kSweepVerifyBudget;
 
+  // One server (its scan artifact) and the cheapest other class (its
+  // class_report artifact).
   static const pipeline::TargetRegistry reg = pipeline::TargetRegistry::builtin();
   const pipeline::TargetSpec& nginx = *reg.find("server/nginx_sim");
+  const pipeline::TargetSpec& jvm = *reg.find("runtime/jvm_sim");
+  auto digest = [&](pipeline::ArtifactStore& store) {
+    pipeline::Campaign campaign(copts, &store);
+    u64 h = digest_scan(campaign.run_target(nginx).server.result);
+    for (char ch : pipeline::render_report(campaign.run_target(jvm), false))
+      h = chaos::mix64(h, static_cast<u8>(ch));
+    return h;
+  };
 
   pipeline::ArtifactStore cold_store;
   cold_store.set_enabled(true);
   cold_store.set_dir(dir.string());
-  pipeline::Campaign cold(copts, &cold_store);
-  u64 cold_digest = digest_scan(cold.run_target(nginx).server.result);
+  u64 cold_digest = digest(cold_store);
 
   // Fresh store over the same directory: the disk tier (possibly corrupted
   // or truncated by the plan) is all the warm run can see. Detection must
@@ -526,8 +569,7 @@ std::optional<std::string> cache_cold_warm_body(u64 seed) {
   pipeline::ArtifactStore warm_store;
   warm_store.set_enabled(true);
   warm_store.set_dir(dir.string());
-  pipeline::Campaign warm(copts, &warm_store);
-  u64 warm_digest = digest_scan(warm.run_target(nginx).server.result);
+  u64 warm_digest = digest(warm_store);
 
   std::error_code ec;
   fs::remove_all(dir, ec);
