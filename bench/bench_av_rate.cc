@@ -38,7 +38,7 @@ struct RateRow {
 
 RateRow benign_browsing() {
   os::Kernel k;
-  targets::BrowserSim b(k, {targets::BrowserSim::Kind::kIE, 0xB1, 0});
+  targets::BrowserSim b(k, {.kind = targets::BrowserSim::Kind::kIE, .seed = 0xB1});
   defense::RateDetector det(k, b.proc());
   b.crawl();
   for (u64 s = 0; s < 300; ++s) b.visit_page(s);
@@ -88,7 +88,7 @@ RateRow asmjs_stress() {
 
 RateRow scanning_attack() {
   os::Kernel k;
-  targets::BrowserSim b(k, {targets::BrowserSim::Kind::kIE, 0xA72, 0});
+  targets::BrowserSim b(k, {.kind = targets::BrowserSim::Kind::kIE, .seed = 0xA72});
   defense::RateDetector det(k, b.proc());
   oracle::SehProbeOracle probe(b);
   for (int i = 0; i < 2000; ++i)

@@ -177,7 +177,7 @@ BENCHMARK(BM_ImageRoundTrip)->Iterations(8000);
 
 void BM_OracleProbeIe(benchmark::State& state) {
   os::Kernel k;
-  targets::BrowserSim b(k, {targets::BrowserSim::Kind::kIE, 0xBE, 0});
+  targets::BrowserSim b(k, {.kind = targets::BrowserSim::Kind::kIE, .seed = 0xBE});
   oracle::SehProbeOracle probe(b);
   u64 addr = 0x7100000000;
   for (auto _ : state) {

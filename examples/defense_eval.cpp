@@ -27,7 +27,7 @@ struct Outcome {
 Outcome run_attack(bool mapped_only, bool with_detector) {
   using namespace crp;
   os::Kernel kernel;
-  targets::BrowserSim browser(kernel, {targets::BrowserSim::Kind::kIE, 0xDEF, 0});
+  targets::BrowserSim browser(kernel, {.kind = targets::BrowserSim::Kind::kIE, .seed = 0xDEF});
   browser.proc().machine().set_mapped_only_av_policy(mapped_only);
   std::unique_ptr<defense::RateDetector> det;
   if (with_detector) det = std::make_unique<defense::RateDetector>(kernel, browser.proc());

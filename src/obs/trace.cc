@@ -30,13 +30,15 @@ const char* span_kind_name(SpanKind k) {
 }
 
 namespace {
-thread_local TraceJobCtx t_job_ctx;
+const TraceJobCtx kNoJob;
+thread_local const TraceJobCtx* t_job_ctx = &kNoJob;
 }  // namespace
 
-TraceJobCtx current_trace_job() { return t_job_ctx; }
+const TraceJobCtx& current_trace_job() { return *t_job_ctx; }
 
-ScopedTraceJob::ScopedTraceJob(u64 trace, u64 job) : prev_(t_job_ctx) {
-  t_job_ctx = TraceJobCtx{trace, job};
+ScopedTraceJob::ScopedTraceJob(u64 trace, u64 job, std::string tenant)
+    : ctx_{trace, job, std::move(tenant)}, prev_(t_job_ctx) {
+  t_job_ctx = &ctx_;
 }
 
 ScopedTraceJob::~ScopedTraceJob() { t_job_ctx = prev_; }

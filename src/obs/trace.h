@@ -158,22 +158,28 @@ class JobTracer {
 /// Thread-local job context, installed by the queue around every drive
 /// session (trace 0 when the job is untraced or the tracer disarmed) so
 /// layers without a job handle — the ArtifactStore lease path — can
-/// attribute spans, and lease ownership, to the job that triggered them.
+/// attribute spans, lease ownership and cache traffic to the job that
+/// triggered them.
 struct TraceJobCtx {
   u64 trace = 0;
   u64 job = 0;
+  std::string tenant;  // "" = anonymous
 };
-TraceJobCtx current_trace_job();
+/// The innermost ScopedTraceJob on this thread (all zero / empty outside
+/// one). Valid until that scope ends.
+const TraceJobCtx& current_trace_job();
 
+/// Installs a job context for its lifetime; nesting restores the outer one.
 class ScopedTraceJob {
  public:
-  ScopedTraceJob(u64 trace, u64 job);
+  ScopedTraceJob(u64 trace, u64 job, std::string tenant = {});
   ~ScopedTraceJob();
   ScopedTraceJob(const ScopedTraceJob&) = delete;
   ScopedTraceJob& operator=(const ScopedTraceJob&) = delete;
 
  private:
-  TraceJobCtx prev_;
+  TraceJobCtx ctx_;
+  const TraceJobCtx* prev_;
 };
 
 }  // namespace crp::obs

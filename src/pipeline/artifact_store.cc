@@ -48,18 +48,7 @@ u64 get_le64(const char* in) {
   return v;
 }
 
-thread_local std::string t_cache_tenant;
-
 }  // namespace
-
-ScopedCacheTenant::ScopedCacheTenant(std::string tenant)
-    : saved_(std::move(t_cache_tenant)) {
-  t_cache_tenant = std::move(tenant);
-}
-
-ScopedCacheTenant::~ScopedCacheTenant() { t_cache_tenant = std::move(saved_); }
-
-const std::string& ScopedCacheTenant::current() { return t_cache_tenant; }
 
 ArtifactStore::ArtifactStore()
     : c_hits_(&obs::Registry::global().counter("pipeline.cache.hits")),
@@ -79,14 +68,6 @@ ArtifactStore::ArtifactStore()
     unsigned long long mb = std::strtoull(env, &end, 10);
     if (end != env && *end == '\0') disk_cap_bytes_ = mb * 1024ull * 1024ull;
   }
-}
-
-ArtifactStore::Shard& ArtifactStore::shard_for(const std::string& name) {
-  return shards_[hash_bytes(name.data(), name.size()) % kShards];
-}
-
-const ArtifactStore::Shard& ArtifactStore::shard_for(const std::string& name) const {
-  return shards_[hash_bytes(name.data(), name.size()) % kShards];
 }
 
 void ArtifactStore::set_dir(std::string dir) {
@@ -127,46 +108,33 @@ ArtifactStore::TenantStat* ArtifactStore::tenant_stat_locked(const std::string& 
   return &it->second;
 }
 
-void ArtifactStore::count_hit() {
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  c_hits_->inc();
-  const std::string& t = ScopedCacheTenant::current();
+void ArtifactStore::count_locked(bool hit) {
+  (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+  (hit ? c_hits_ : c_misses_)->inc();
+  const std::string& t = obs::current_trace_job().tenant;
   if (t.empty()) return;
-  std::lock_guard<std::mutex> lk(tenant_mu_);
   TenantStat* ts = tenant_stat_locked(t);
   if (ts == nullptr) return;
-  ts->hits++;
-  ts->c_hits->inc();
-}
-
-void ArtifactStore::count_miss() {
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  c_misses_->inc();
-  const std::string& t = ScopedCacheTenant::current();
-  if (t.empty()) return;
-  std::lock_guard<std::mutex> lk(tenant_mu_);
-  TenantStat* ts = tenant_stat_locked(t);
-  if (ts == nullptr) return;
-  ts->misses++;
-  ts->c_misses->inc();
+  ++(hit ? ts->hits : ts->misses);
+  (hit ? ts->c_hits : ts->c_misses)->inc();
 }
 
 u64 ArtifactStore::tenant_hits(const std::string& tenant) const {
-  std::lock_guard<std::mutex> lk(tenant_mu_);
+  std::lock_guard<std::mutex> lk(mu_);
   auto it = tenants_.find(tenant);
   return it == tenants_.end() ? 0 : it->second.hits;
 }
 
 u64 ArtifactStore::tenant_misses(const std::string& tenant) const {
-  std::lock_guard<std::mutex> lk(tenant_mu_);
+  std::lock_guard<std::mutex> lk(mu_);
   auto it = tenants_.find(tenant);
   return it == tenants_.end() ? 0 : it->second.misses;
 }
 
 bool ArtifactStore::disk_read(const std::string& name, std::string* payload) {
-  // Blocking file I/O — never called with a shard lock held; the caller
-  // holds the key's inflight lease instead, which keeps single-reader
-  // semantics without stalling unrelated keys in the shard.
+  // Blocking file I/O — never called with mu_ held; the caller holds the
+  // key's inflight lease instead, which keeps single-reader semantics
+  // without stalling other keys.
   std::string path;
   {
     std::lock_guard<std::mutex> dlk(disk_mu_);
@@ -214,50 +182,16 @@ bool ArtifactStore::disk_read(const std::string& name, std::string* payload) {
 bool ArtifactStore::lookup(const ArtifactKey& key, std::string* value) {
   if (!enabled_) return false;
   std::string name = key.str();
-  Shard& sh = shard_for(name);
-  bool probe_disk = false;
-  {
-    std::lock_guard<std::mutex> lk(sh.mu);
-    auto it = sh.mem.find(name);
-    if (it != sh.mem.end()) {
-      *value = it->second;
-      count_hit();
-      return true;
-    }
-    // Probe the disk tier only when no writer (or disk reader) is in
-    // flight for the key; take the lease so the read happens unlocked.
-    if (sh.inflight.count(name) == 0) {
-      take_lease_locked(sh, name);
-      probe_disk = true;
-    }
-  }
-  if (probe_disk) {
-    std::string payload;
-    bool found = disk_read(name, &payload);
-    std::lock_guard<std::mutex> lk(sh.mu);
-    sh.inflight.erase(name);
-    sh.cv.notify_all();
-    if (found) {
-      sh.mem[name] = payload;
-      *value = std::move(payload);
-      count_hit();
-      return true;
-    }
-    // A store() may have published while we probed the disk.
-    auto it = sh.mem.find(name);
-    if (it != sh.mem.end()) {
-      *value = it->second;
-      count_hit();
-      return true;
-    }
-  }
-  count_miss();
+  std::unique_lock<std::mutex> lk(mu_);
+  bool waited = false;
+  if (probe(lk, name, value, &waited)) return true;
+  release_locked(name);
   return false;
 }
 
 Acquire ArtifactStore::acquire(const ArtifactKey& key, std::string* value) {
   obs::JobTracer& jt = obs::JobTracer::global();
-  obs::TraceJobCtx ctx = obs::current_trace_job();
+  const obs::TraceJobCtx& ctx = obs::current_trace_job();
   if (ctx.trace == 0 || !jt.armed()) {
     bool waited = false;
     return acquire_impl(key, value, &waited);
@@ -279,19 +213,13 @@ Acquire ArtifactStore::acquire(const ArtifactKey& key, std::string* value) {
   return a;
 }
 
-void ArtifactStore::take_lease_locked(Shard& sh, const std::string& name) {
-  sh.inflight.emplace(name, Lease{obs::current_trace_job().job, obs::trace_now_ns()});
-}
-
 std::map<u64, u64> ArtifactStore::held_leases() const {
   std::map<u64, u64> out;
-  for (const Shard& sh : shards_) {
-    std::lock_guard<std::mutex> lk(sh.mu);
-    for (const auto& [name, lease] : sh.inflight) {
-      if (lease.job == 0) continue;
-      auto [it, fresh] = out.emplace(lease.job, lease.since_ns);
-      if (!fresh) it->second = std::min(it->second, lease.since_ns);
-    }
+  std::lock_guard<std::mutex> lk(mu_);
+  for (const auto& [name, lease] : inflight_) {
+    if (lease.job == 0) continue;
+    auto [it, fresh] = out.emplace(lease.job, lease.since_ns);
+    if (!fresh) it->second = std::min(it->second, lease.since_ns);
   }
   return out;
 }
@@ -300,80 +228,70 @@ Acquire ArtifactStore::acquire_impl(const ArtifactKey& key, std::string* value,
                                     bool* waited) {
   if (!enabled_) return Acquire::kBypass;
   std::string name = key.str();
-  Shard& sh = shard_for(name);
-  std::unique_lock<std::mutex> lk(sh.mu);
-  for (;;) {
-    auto it = sh.mem.find(name);
-    if (it != sh.mem.end()) {
-      *value = it->second;
-      count_hit();
-      return Acquire::kHit;
-    }
-    if (sh.inflight.count(name) == 0) {
-      // No writer in flight: take the lease, then check the disk tier with
-      // the shard unlocked (the lease keeps readers/writers single-file).
-      take_lease_locked(sh, name);
-      lk.unlock();
-      std::string payload;
-      bool found = disk_read(name, &payload);
-      lk.lock();
-      if (found) {
-        sh.mem[name] = payload;
-        *value = std::move(payload);
-        sh.inflight.erase(name);
-        sh.cv.notify_all();
-        count_hit();
-        return Acquire::kHit;
-      }
-      // A store() may have published while the disk probe ran.
-      it = sh.mem.find(name);
-      if (it != sh.mem.end()) {
-        *value = it->second;
-        sh.inflight.erase(name);
-        sh.cv.notify_all();
-        count_hit();
-        return Acquire::kHit;
-      }
-      count_miss();
-      return Acquire::kOwner;
-    }
-    // A writer is computing this key. Wait for finish (memory-tier hit) or
-    // abort (the loop retakes the lease and recomputes).
+  std::unique_lock<std::mutex> lk(mu_);
+  return probe(lk, name, value, waited) ? Acquire::kHit : Acquire::kOwner;
+}
+
+bool ArtifactStore::probe(std::unique_lock<std::mutex>& lk, const std::string& name,
+                          std::string* value, bool* waited) {
+  // Another caller holds the key's lease: wait for its publish (a memory
+  // hit) or its release (this caller takes the lease).
+  auto leased = [&] { return inflight_.count(name) != 0 && mem_.count(name) == 0; };
+  if (leased()) {
     *waited = true;
-    sh.cv.wait(lk, [&] {
-      return sh.inflight.count(name) == 0 || sh.mem.count(name) != 0;
-    });
+    cv_.wait(lk, [&] { return !leased(); });
   }
+  auto it = mem_.find(name);
+  if (it == mem_.end()) {
+    // Take the lease, then check the disk tier unlocked (the lease keeps
+    // readers and writers of the key single-file).
+    inflight_.emplace(name, Lease{obs::current_trace_job().job, obs::trace_now_ns()});
+    lk.unlock();
+    std::string payload;
+    bool found = disk_read(name, &payload);
+    lk.lock();
+    // On a disk miss, a store() may have published while the probe ran.
+    it = found ? mem_.insert_or_assign(name, std::move(payload)).first : mem_.find(name);
+    if (it == mem_.end()) {
+      count_locked(false);
+      return false;
+    }
+    release_locked(name);
+  }
+  *value = it->second;
+  count_locked(true);
+  return true;
 }
 
 void ArtifactStore::finish(const ArtifactKey& key, const std::string& value) {
   store(key, value);
-  release_claim(key.str());
+  std::lock_guard<std::mutex> lk(mu_);
+  release_locked(key.str());
 }
 
-void ArtifactStore::abort_claim(const ArtifactKey& key) { release_claim(key.str()); }
+void ArtifactStore::abort_claim(const ArtifactKey& key) {
+  std::lock_guard<std::mutex> lk(mu_);
+  release_locked(key.str());
+}
 
-void ArtifactStore::release_claim(const std::string& name) {
-  Shard& sh = shard_for(name);
-  std::lock_guard<std::mutex> lk(sh.mu);
-  sh.inflight.erase(name);
-  sh.cv.notify_all();
+void ArtifactStore::release_locked(const std::string& name) {
+  inflight_.erase(name);
+  cv_.notify_all();
 }
 
 void ArtifactStore::store(const ArtifactKey& key, const std::string& value) {
   if (!enabled_) return;
   std::string name = key.str();
-  Shard& sh = shard_for(name);
   {
-    std::lock_guard<std::mutex> lk(sh.mu);
-    sh.mem[name] = value;
+    std::lock_guard<std::mutex> lk(mu_);
+    mem_[name] = value;
   }
   stores_.fetch_add(1, std::memory_order_relaxed);
   c_stores_->inc();
-  // Disk publish happens outside the shard lock: one slow write must not
-  // stall memory-tier hits on unrelated keys in the shard. Concurrent
-  // stores of the same key write identical bytes (keys are content
-  // addresses), so ordering does not matter.
+  // Disk publish happens outside the store lock: one slow write must not
+  // stall memory-tier hits on other keys. Concurrent stores of the same
+  // key write identical bytes (keys are content addresses), so ordering
+  // does not matter.
   disk_store(name, value);
 }
 
@@ -506,25 +424,18 @@ void ArtifactStore::disk_add_and_evict(const std::string& name, size_t bytes) {
 }
 
 size_t ArtifactStore::size() const {
-  size_t n = 0;
-  for (const Shard& sh : shards_) {
-    std::lock_guard<std::mutex> lk(sh.mu);
-    n += sh.mem.size();
-  }
-  return n;
+  std::lock_guard<std::mutex> lk(mu_);
+  return mem_.size();
 }
 
 void ArtifactStore::clear() {
-  for (Shard& sh : shards_) {
-    std::lock_guard<std::mutex> lk(sh.mu);
-    sh.mem.clear();  // active leases (inflight) are left intact
-  }
+  std::lock_guard<std::mutex> lk(mu_);
+  mem_.clear();  // active leases (inflight_) are left intact
   hits_.store(0, std::memory_order_relaxed);
   misses_.store(0, std::memory_order_relaxed);
   stores_.store(0, std::memory_order_relaxed);
   corrupt_.store(0, std::memory_order_relaxed);
   evictions_.store(0, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lk(tenant_mu_);
   for (auto& [t, ts] : tenants_) {
     ts.hits = 0;
     ts.misses = 0;

@@ -15,10 +15,11 @@
 // byte in a target image changes the key and invalidates the entry
 // (tested in tests/test_pipeline.cc).
 //
-// Since PR 8 the store is a shared tier under the multi-tenant crpd
-// daemon, so it is concurrency-first:
-//   * the namespace is striped across kShards lock shards (keys hash to a
-//     shard), so unrelated stages never contend on one mutex;
+// The store is also the shared tier under the multi-tenant crpd daemon:
+//   * one mutex guards the memory tier, the lease set and the per-tenant
+//     stats, and is held for map operations only. A job reads or takes
+//     one artifact, its class result (plus its plan with plans on), so
+//     there is little traffic to spread over more locks;
 //   * `acquire`/`finish`/`abort_claim` implement a single-writer lease per
 //     key: when N jobs race on the same cold artifact, exactly one
 //     computes while the rest block and are handed the finished value (a
@@ -26,15 +27,15 @@
 //     daemon advertises. Each lease records which job took it and when
 //     (held_leases()), which is where the crpd stall watchdog reads lease
 //     ages;
-//   * hit/miss traffic is additionally attributed to the submitting tenant
-//     (ScopedCacheTenant, a thread-local) as
+//   * hit/miss traffic is additionally attributed to the calling job's
+//     tenant (obs::current_trace_job(), installed by the JobQueue) as
 //     `pipeline.cache.tenant.<t>.{hits,misses}`. Attribution is capped at
 //     kMaxAttributedTenants distinct tenants (registry counters live
 //     forever; client-minted names must not grow them unboundedly) —
 //     traffic beyond the cap still counts in the global totals;
-//   * disk-tier file I/O never runs under a shard lock: the reader takes
-//     the key's inflight lease, reads with the shard unlocked, and
-//     publishes on relock, so a slow disk stalls only that key.
+//   * disk-tier file I/O never runs under the store lock: the reader takes
+//     the key's inflight lease, reads unlocked, and publishes on relock,
+//     so a slow disk stalls only that key.
 //
 // Storage tiers:
 //   * in-memory map — always on (per process);
@@ -94,29 +95,12 @@ class Hasher {
 
 /// Content address of one stage output.
 struct ArtifactKey {
-  std::string stage;    // stage id, e.g. "filter_classify"
+  std::string stage;    // stage id, e.g. "class_report"
   u64 input_hash = 0;   // content hash of the stage input
   u64 config_hash = 0;  // hash of the stage configuration
 
   /// Stable file/map name: "<stage>-<input:016x>-<config:016x>".
   std::string str() const;
-};
-
-/// Attribute cache traffic on this thread to a tenant for the duration of
-/// the scope (`pipeline.cache.tenant.<t>.{hits,misses}`). Nesting restores
-/// the previous tenant; the empty tenant attributes nothing extra.
-class ScopedCacheTenant {
- public:
-  explicit ScopedCacheTenant(std::string tenant);
-  ~ScopedCacheTenant();
-  ScopedCacheTenant(const ScopedCacheTenant&) = delete;
-  ScopedCacheTenant& operator=(const ScopedCacheTenant&) = delete;
-
-  /// The tenant cache traffic on this thread is attributed to ("" = none).
-  static const std::string& current();
-
- private:
-  std::string saved_;
 };
 
 /// Outcome of ArtifactStore::acquire.
@@ -142,8 +126,10 @@ class ArtifactStore {
   /// Disk-tier size cap in bytes (0 = unbounded). Shadows CRP_CACHE_MAX_MB.
   void set_max_disk_bytes(u64 cap);
 
-  /// True + fills *value on a hit (memory first, then disk). A disabled
-  /// store always returns false and counts nothing (pure bypass).
+  /// True + fills *value on a hit (memory first, then disk). Waits out
+  /// another caller's lease on the key like acquire(), but never keeps
+  /// one. A disabled store always returns false and counts nothing (pure
+  /// bypass).
   bool lookup(const ArtifactKey& key, std::string* value);
   /// Publish an artifact (memory + disk tier when configured). Dropped
   /// silently when disabled.
@@ -179,7 +165,9 @@ class ArtifactStore {
   u64 evictions() const { return evictions_.load(std::memory_order_relaxed); }
   size_t size() const;
 
-  /// Per-tenant traffic recorded via ScopedCacheTenant (0 for unknown).
+  /// Per-tenant traffic: each hit or miss counts for the tenant in the job
+  /// context of the thread that caused it (obs::current_trace_job()).
+  /// 0 for an unknown tenant.
   u64 tenant_hits(const std::string& tenant) const;
   u64 tenant_misses(const std::string& tenant) const;
 
@@ -191,38 +179,29 @@ class ArtifactStore {
   static ArtifactStore& global();
 
  private:
-  // Key space is striped: each shard owns the memory tier and the
-  // single-writer lease set for the keys that hash to it. disk_mu_ and
-  // chaos_mu_ are never taken with a shard lock held (disk I/O runs
-  // unlocked under the key's inflight lease), and never shard -> shard.
-  static constexpr size_t kShards = 16;
   struct Lease {
     u64 job = 0;  // obs::current_trace_job().job of the taker (0 = none)
     u64 since_ns = 0;
   };
-  struct Shard {
-    mutable std::mutex mu;
-    std::condition_variable cv;  // signaled when a lease is released
-    std::unordered_map<std::string, std::string> mem;
-    std::unordered_map<std::string, Lease> inflight;  // keys with an active lease
-  };
 
-  Shard& shard_for(const std::string& name);
-  const Shard& shard_for(const std::string& name) const;
   std::string disk_path(const std::string& name) const;
-  // Disk read/validate for `name`; fills *payload on success. Called with
-  // NO shard lock held — the caller owns the key's inflight lease instead.
+  // Disk read/validate for `name`; fills *payload on success. Called
+  // without mu_ — the caller owns the key's inflight lease instead.
   bool disk_read(const std::string& name, std::string* payload);
-  // acquire() minus the tracing wrapper; *waited set when the call blocked
-  // on another writer's lease.
+  // The read path lookup() and acquire() share, entered with `lk` on mu_:
+  // wait out another caller's lease on `name` (*waited set), then answer a
+  // memory hit, or take the lease, read the disk tier unlocked, relock and
+  // recheck. True on a hit (*value filled, no lease held); false on a
+  // miss, with the caller holding the key's lease.
+  bool probe(std::unique_lock<std::mutex>& lk, const std::string& name,
+             std::string* value, bool* waited);
+  // acquire() minus the tracing wrapper.
   Acquire acquire_impl(const ArtifactKey& key, std::string* value, bool* waited);
   void disk_store(const std::string& name, const std::string& value);
-  void count_hit();
-  void count_miss();
-  /// Insert `name` into sh.inflight (shard lock held), stamped with the
-  /// calling thread's job and the current time.
-  static void take_lease_locked(Shard& sh, const std::string& name);
-  void release_claim(const std::string& name);
+  // Traffic counters, global and per tenant (mu_ held).
+  void count_locked(bool hit);
+  // Drop `name`'s lease and wake the waiters (mu_ held).
+  void release_locked(const std::string& name);
 
   // --- disk LRU (guarded by disk_mu_) ---
   void disk_index_scan_locked();
@@ -242,7 +221,6 @@ class ArtifactStore {
   obs::Counter* c_stores_;
   obs::Counter* c_corrupt_;
   obs::Counter* c_evictions_;
-  Shard shards_[kShards];
 
   // Per-tenant attribution (lazily materialized registry counters),
   // bounded: tenants beyond the cap are not broken out (global counters
@@ -255,7 +233,14 @@ class ArtifactStore {
     obs::Counter* c_misses = nullptr;
   };
   TenantStat* tenant_stat_locked(const std::string& t);
-  mutable std::mutex tenant_mu_;
+
+  // The store lock. disk_mu_ and chaos_mu_ are never taken with it held
+  // (disk I/O runs unlocked under the key's inflight lease); the JobQueue
+  // takes it under its own lock when a parked job releases its lease.
+  mutable std::mutex mu_;
+  std::condition_variable cv_;  // signaled when a lease is released
+  std::unordered_map<std::string, std::string> mem_;
+  std::unordered_map<std::string, Lease> inflight_;  // keys with an active lease
   std::unordered_map<std::string, TenantStat> tenants_;
 
   // Disk-tier LRU index: names in recency order (front = coldest), with
@@ -271,7 +256,7 @@ class ArtifactStore {
   // Chaos: disk-tier fault injection (corrupt/truncate blobs on read,
   // failed tmp-rename on store). Decisions are keyed by the artifact key
   // hash, so they are independent of lookup order and thread schedule; the
-  // stream's occurrence counters are serialized by chaos_mu_ (shards hit
+  // stream's occurrence counters are serialized by chaos_mu_ (callers hit
   // the disk tier concurrently).
   std::mutex chaos_mu_;
   chaos::FaultStream chaos_;

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "analysis/guard_audit.h"
+#include "analysis/seh_analysis.h"
 #include "analysis/signal_scanner.h"
 #include "exec/thread_pool.h"
 #include "obs/journal.h"
@@ -82,8 +83,10 @@ ArtifactKey syscall_scan_key_for(const analysis::TargetProgram& prog,
   return ArtifactKey{"taint_trace", program_content_hash(prog), cfg};
 }
 
-/// Hash the fields of a ClassifyOptions (the filter_classify config key).
-u64 classify_config_hash(const analysis::ClassifyOptions& o) {
+/// Hash of the classifier configuration the SEH, VEH and signal scans run
+/// with (the default ClassifyOptions), part of their classes' config key.
+u64 classify_config_hash() {
+  const analysis::ClassifyOptions o;
   return Hasher()
       .u64v(o.max_paths)
       .u64v(o.max_steps)
@@ -200,25 +203,6 @@ class StageScope {
   obs::ScopedProfTarget prof_target_;
 };
 
-/// One single-step cached computation: answer `key` from `store` (a
-/// document `decode` rejects counts as a miss), else run `compute` under
-/// the lease and publish `encode` of its result. nullptr `store` always
-/// computes. True when *out came from the store.
-template <typename T, typename Decode, typename Encode, typename Compute>
-bool cached(ArtifactStore* store, const ArtifactKey& key, T* out, Decode decode,
-            Encode encode, Compute compute) {
-  if (store == nullptr) {
-    *out = compute();
-    return false;
-  }
-  CacheLease lease(store);
-  std::string doc;
-  if (lease.acquire(key, &doc) && decode(doc, out)) return true;
-  *out = compute();
-  lease.publish(encode(*out));
-  return false;
-}
-
 }  // namespace
 
 ArtifactKey Campaign::syscall_scan_key(const analysis::TargetProgram& prog) const {
@@ -244,9 +228,20 @@ bool synthesize_plan(const TargetSpec& spec,
                 .u64v(opts.region_pages)
                 .u64v(opts.seed)
                 .digest();
-  return cached(store, ArtifactKey{"plan_synth", ih.digest(), cfg}, out,
-                plan::decode_plan, plan::encode_plan,
-                [&] { return plan::synthesize(binding_for(spec), candidates, opts); });
+  auto compute = [&] { return plan::synthesize(binding_for(spec), candidates, opts); };
+  if (store == nullptr) {
+    *out = compute();
+    return false;
+  }
+  // A stored plan that fails to decode counts as a miss.
+  CacheLease lease(store);
+  std::string doc;
+  if (lease.acquire(ArtifactKey{"plan_synth", ih.digest(), cfg}, &doc) &&
+      plan::decode_plan(doc, out))
+    return true;
+  *out = compute();
+  lease.publish(plan::encode_plan(*out));
+  return false;
 }
 
 // --- target cells --------------------------------------------------------------
@@ -429,8 +424,7 @@ class RuntimeCell final : public TargetCell {
                    {{"boot", [this] { boot(); }, false},
                     {"signal_scan",
                      [this] {
-                       handlers_ = analysis::SignalScanner::scan(kernel_->proc(pid_),
-                                                                 opts_.classify);
+                       handlers_ = analysis::SignalScanner::scan(kernel_->proc(pid_));
                      }},
                     {"finalize", [this] { finalize(); }}}) {}
 
@@ -442,7 +436,7 @@ class RuntimeCell final : public TargetCell {
           return class_report_key(spec_, program_content_hash(prog_),
                                   Hasher()
                                       .u64v(opts_.syscall.seed)
-                                      .u64v(classify_config_hash(opts_.classify))
+                                      .u64v(classify_config_hash())
                                       .digest());
         }))
       return;
@@ -474,7 +468,7 @@ class SehCell : public TargetCell {
   using TargetCell::TargetCell;
 
   /// The first step's half: keep the serialized images for seh_extract and
-  /// hash them (the content the class key and the classify key share).
+  /// hash them (the content half of the class key).
   void set_blobs(std::vector<std::vector<u8>> blobs) {
     blobs_ = std::move(blobs);
     content_hash_ = corpus_content_hash(blobs_);
@@ -488,22 +482,14 @@ class SehCell : public TargetCell {
     blobs_ = {};
   }
 
-  /// With `store`, cached by corpus content and ClassifyOptions, so a
-  /// repeated classification replays the verdicts *and* the counters the
-  /// benches print.
-  void classify(ArtifactStore* store) {
-    ArtifactKey key{"filter_classify", content_hash_,
-                    classify_config_hash(opts_.classify)};
-    report_.cache_hit =
-        cached(store, key, &cls_, decode_classify, encode_classify, [&] {
-          analysis::FilterClassifier fc(opts_.classify);
-          ClassifyOutcome o;
-          o.filters = fc.classify_all(ex_, opts_.jobs);
-          o.filters_executed = fc.filters_executed();
-          o.sat_queries = fc.sat_queries();
-          o.memo_hits = fc.memo_hits();
-          return o;
-        });
+  /// Symbolically classify every unique filter, keeping the classifier
+  /// counters the benches print.
+  void classify() {
+    analysis::FilterClassifier fc;
+    cls_.filters = fc.classify_all(ex_, opts_.jobs);
+    cls_.filters_executed = fc.filters_executed();
+    cls_.sat_queries = fc.sat_queries();
+    cls_.memo_hits = fc.memo_hits();
   }
 
   /// The Table II/III rows (cross-referenced with traced coverage when
@@ -528,6 +514,15 @@ class SehCell : public TargetCell {
     return f;
   }
 
+  /// The classify step's output: the per-filter verdicts plus the
+  /// classifier counters.
+  struct ClassifyOutcome {
+    std::vector<analysis::FilterInfo> filters;
+    u64 filters_executed = 0;
+    u64 sat_queries = 0;
+    u64 memo_hits = 0;
+  };
+
   std::vector<std::vector<u8>> blobs_;  // the serialized images seh_extract parses
   analysis::SehExtractor ex_;
   u64 content_hash_ = 0;
@@ -542,13 +537,15 @@ class BrowserCell final : public SehCell {
       : SehCell(o, s, std::move(spec),
                 {{"browse", [this] { browse(); }, false},
                  {"seh_extract", [this] { seh_extract(); }},
-                 // A browse-option change keeps the DLLs: it reuses their
-                 // classification.
-                 {"classify", [this] { classify(store_); }},
+                 {"classify", [this] { classify(); }},
                  {"xref_veh", [this] { xref_veh(); }},
                  {"finalize", [this] { finalize(); }}}) {}
 
  private:
+  /// The traced workload: page visits after the crawl, then a pump budget.
+  static constexpr u64 kBrowsePages = 500;
+  static constexpr u64 kBrowseBudget = 2'500'000'000;
+
   void browse() {
     kernel_ = std::make_unique<os::Kernel>();
     targets::BrowserSim::Options bopts = browser_options(spec_);
@@ -560,8 +557,8 @@ class BrowserCell final : public SehCell {
     for (const auto& d : browser_->dlls()) blobs.push_back(isa::write_image(*d.image));
     set_blobs(std::move(blobs));
     // Keyed before any guest code runs: the DLL blobs, the browser's spec
-    // fields, and the options of the traced workload, the classifier and
-    // the VEH scan.
+    // fields, and the configuration of the traced workload, the classifier
+    // and the VEH scan.
     if (claim([&] {
           u64 content = Hasher()
                             .u64v(static_cast<u64>(bopts.kind))
@@ -570,9 +567,9 @@ class BrowserCell final : public SehCell {
                             .u64v(content_hash_)
                             .digest();
           u64 config = Hasher()
-                           .u64v(opts_.browse_pages)
-                           .u64v(opts_.browse_budget)
-                           .u64v(classify_config_hash(opts_.classify))
+                           .u64v(kBrowsePages)
+                           .u64v(kBrowseBudget)
+                           .u64v(classify_config_hash())
                            .digest();
           return class_report_key(spec_, content, config);
         })) {
@@ -584,8 +581,8 @@ class BrowserCell final : public SehCell {
     tracer_ = std::make_unique<trace::Tracer>(*kernel_, browser_->proc());
     browser_->start();
     browser_->crawl();
-    for (u64 site = 0; site < opts_.browse_pages; ++site) browser_->visit_page(site);
-    browser_->pump(opts_.browse_budget);
+    for (u64 site = 0; site < kBrowsePages; ++site) browser_->visit_page(site);
+    browser_->pump(kBrowseBudget);
     report_.browse.unique_pcs = tracer_->unique_pcs();
     report_.browse.pending_commands = browser_->pending_commands();
   }
@@ -597,7 +594,7 @@ class BrowserCell final : public SehCell {
     on_path_ = report_.candidates.size();
 
     BrowseOutcome& b = report_.browse;
-    b.veh = analysis::VehScanner::scan(*tracer_, browser_->proc(), opts_.classify);
+    b.veh = analysis::VehScanner::scan(*tracer_, browser_->proc());
     for (const auto& h : b.veh)
       veh_usable_ += h.verdict == analysis::FilterVerdict::kAcceptsAv ? 1 : 0;
     std::vector<analysis::Candidate> veh_cands =
@@ -641,13 +638,11 @@ class DllCorpusCell final : public SehCell {
       : SehCell(o, s, std::move(spec),
                 {{"generate", [this] { generate(); }, false},
                  {"seh_extract", [this] { seh_extract(); }},
-                 // The class key covers all that classify reads: no step
-                 // cache of its own.
-                 {"classify", [this] { classify(nullptr); }},
+                 {"classify", [this] { classify(); }},
                  {"finalize", [this] { finalize(); }}}) {}
 
  private:
-  /// Keyed by the generated blobs and the classifier options.
+  /// Keyed by the generated blobs and the classifier configuration.
   void generate() {
     CRP_CHECK(spec_.dll_specs != nullptr);
     std::vector<std::vector<u8>> blobs;
@@ -655,7 +650,7 @@ class DllCorpusCell final : public SehCell {
       blobs.push_back(isa::write_image(*targets::generate_dll(d, spec_.seed).image));
     set_blobs(std::move(blobs));
     if (claim([&] {
-          return class_report_key(spec_, content_hash_, classify_config_hash(opts_.classify));
+          return class_report_key(spec_, content_hash_, classify_config_hash());
         }))
       blobs_ = {};
   }
@@ -684,20 +679,21 @@ class ApiCorpusCell final : public TargetCell {
                     {"finalize", [this] { finalize(); }}}) {}
 
  private:
+  static constexpr int kProbesPerArg = 3;
+
   void fuzz() {
     kernel_ = std::make_unique<os::Kernel>();
     kernel_->winapi().generate_population(spec_.api.seed, spec_.api.total,
                                           spec_.api.ptr_fraction,
                                           spec_.api.resistant_fraction);
-    int probes = opts_.api_probes_per_arg;
     if (claim([&] {
           return class_report_key(spec_, api_surface_hash(*kernel_),
-                                  Hasher().u64v(static_cast<u64>(probes)).digest());
+                                  Hasher().u64v(static_cast<u64>(kProbesPerArg)).digest());
         })) {
       kernel_.reset();
       return;
     }
-    fuzz_ = analysis::ApiFuzzer(probes).fuzz_all(*kernel_, opts_.jobs);
+    fuzz_ = analysis::ApiFuzzer(kProbesPerArg).fuzz_all(*kernel_, opts_.jobs);
   }
 
   void browse() {

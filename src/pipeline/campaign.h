@@ -11,20 +11,19 @@
 // analysis:: and plan:: passes directly:
 //   linux-server     taint_trace -> candidates -> verify -> finalize
 //   managed-runtime  boot -> signal_scan -> finalize
-//   browser          browse (traced) -> seh_extract -> classify* -> xref_veh
+//   browser          browse (traced) -> seh_extract -> classify -> xref_veh
 //                    (coverage xref + VEH harvest + guard audit) -> finalize
 //   dll-corpus       generate -> seh_extract -> classify -> finalize
 //   api-corpus       api_fuzz -> browse (traced) -> call_sites -> finalize
 // CampaignOptions::plan appends plan_synth* -> plan_verify to every class.
 // Each class result is one content-addressed artifact: the first step
 // hashes the class's inputs (images, corpus blobs or API surface) and the
-// options its steps read, and a repeat job costs one store read. Servers
-// store the verified scan (taint_trace), every other class its report
-// (class_report). Steps marked * also cache their own output: a browser's
-// classify under its DLL blobs and the classifier options alone, so a job
-// that changes only the browse options reuses the classification, and
-// plan_synth under the candidates it plans from. plan_verify is never
-// cached.
+// configuration its steps read, and a repeat job costs one store read.
+// Servers store the verified scan (taint_trace), every other class its
+// report (class_report). The step marked * caches its own output:
+// plan_synth, under the candidates it plans from, after the class result
+// is published, so a cell holds at most one store lease at a time.
+// plan_verify is never cached.
 // Each step runs under one StageScope named after it: a
 // `pipeline.stage.<step>.{runs,ns}` series, a "stage:<step>" journal span
 // and the profiler's stage label — the names the JobQueue, the JobTracer
@@ -43,7 +42,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/seh_analysis.h"
 #include "analysis/syscall_scanner.h"
 #include "pipeline/artifact_store.h"
 #include "pipeline/registry.h"
@@ -59,11 +57,6 @@ struct CampaignOptions {
   /// CRP_CACHE (the store's own switch still applies when true).
   bool cache = true;
   analysis::SyscallScanOptions syscall;
-  analysis::ClassifyOptions classify;
-  int api_probes_per_arg = 3;
-  /// Browser-funnel workload size (page visits after the crawl).
-  u64 browse_pages = 500;
-  u64 browse_budget = 2'500'000'000;
   /// Append the exploit-plan epilogue (plan_synth + plan_verify steps) to
   /// every target's funnel: synthesize an ExploitPlan from the verified
   /// candidates, then replay it against a fresh target instance

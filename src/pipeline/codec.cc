@@ -26,6 +26,10 @@ bool get_enum(std::istream& in, E last, E* out) {
   return true;
 }
 
+/// The last real syscall: a scan names one in every field, while kCount is
+/// the no-syscall value other classes' candidates carry (class_report).
+constexpr os::Sys kLastSys = static_cast<os::Sys>(static_cast<u64>(os::Sys::kCount) - 1);
+
 }  // namespace
 
 std::string encode_syscall_scan(const analysis::SyscallScanResult& res) {
@@ -58,69 +62,26 @@ bool decode_syscall_scan(const std::string& doc, analysis::SyscallScanResult* ou
   size_t n = 0;
   if (!(in >> tag >> n) || tag != "observed") return false;
   for (size_t i = 0; i < n; ++i) {
-    u64 s = 0;
-    if (!(in >> s)) return false;
-    res.observed.insert(static_cast<os::Sys>(s));
+    os::Sys s = os::Sys::kCount;
+    if (!get_enum(in, kLastSys, &s)) return false;
+    res.observed.insert(s);
   }
   if (!(in >> tag >> n) || tag != "candidates") return false;
   for (size_t i = 0; i < n; ++i) {
     analysis::Candidate c;
     c.cls = analysis::PrimitiveClass::kSyscall;
-    u64 sys = 0, home = 0;
+    u64 home = 0;
     int has_home = 0, ctrl = 0;
-    u32 verdict = 0;
-    if (!(in >> tag >> sys >> c.pointer_arg >> c.taint_mask >> has_home >> home >>
-          ctrl >> verdict) ||
-        tag != "cand" || !get_str(in, "target", &c.target) ||
-        !get_str(in, "note", &c.note))
+    if (!(in >> tag) || tag != "cand" || !get_enum(in, kLastSys, &c.syscall) ||
+        !(in >> c.pointer_arg >> c.taint_mask >> has_home >> home >> ctrl) ||
+        !get_enum(in, analysis::Verdict::kFalsePositive, &c.verdict) ||
+        !get_str(in, "target", &c.target) || !get_str(in, "note", &c.note))
       return false;
-    c.syscall = static_cast<os::Sys>(sys);
     if (has_home != 0) c.pointer_home = home;
     c.controllable_home = ctrl != 0;
-    c.verdict = static_cast<analysis::Verdict>(verdict);
     res.candidates.push_back(std::move(c));
   }
   *out = std::move(res);
-  return true;
-}
-
-std::string encode_classify(const ClassifyOutcome& o) {
-  std::ostringstream out;
-  out << header("filter_classify");
-  out << "executed " << o.filters_executed << " queries " << o.sat_queries
-      << " memo_hits " << o.memo_hits << "\n";
-  out << "filters " << o.filters.size() << "\n";
-  for (const analysis::FilterInfo& f : o.filters) {
-    out << "filter " << f.offset << " " << static_cast<u32>(f.machine) << " "
-        << static_cast<u32>(f.verdict) << " " << f.paths_explored << " "
-        << f.handlers_using << "\n";
-    put_str(out, "module", f.module);
-  }
-  return out.str();
-}
-
-bool decode_classify(const std::string& doc, ClassifyOutcome* out) {
-  std::istringstream in(doc);
-  if (!expect_header(in, "filter_classify")) return false;
-  ClassifyOutcome o;
-  std::string tag;
-  if (!(in >> tag >> o.filters_executed) || tag != "executed") return false;
-  if (!(in >> tag >> o.sat_queries) || tag != "queries") return false;
-  if (!(in >> tag >> o.memo_hits) || tag != "memo_hits") return false;
-  size_t n = 0;
-  if (!(in >> tag >> n) || tag != "filters") return false;
-  for (size_t i = 0; i < n; ++i) {
-    analysis::FilterInfo f;
-    u32 machine = 0, verdict = 0;
-    if (!(in >> tag >> f.offset >> machine >> verdict >> f.paths_explored >>
-          f.handlers_using) ||
-        tag != "filter" || !get_str(in, "module", &f.module))
-      return false;
-    f.machine = static_cast<isa::Machine>(machine);
-    f.verdict = static_cast<analysis::FilterVerdict>(verdict);
-    o.filters.push_back(std::move(f));
-  }
-  *out = std::move(o);
   return true;
 }
 

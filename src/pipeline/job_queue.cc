@@ -186,7 +186,7 @@ std::vector<JobResult> JobQueue::list() const {
 
 size_t JobQueue::watchdog_pass(u64 step_deadline_ns, u64 lease_deadline_ns) {
   // Lease ages live where the leases do. Read them before taking mu_ (the
-  // park path takes shard locks under it), and the clock after, so no
+  // park path takes the store lock under it), and the clock after, so no
   // age read below can be negative.
   std::map<JobId, u64> leases = opts_.store->held_leases();
   std::lock_guard<std::mutex> lk(mu_);
@@ -323,8 +323,9 @@ void JobQueue::drive(std::unique_lock<std::mutex>& lk, Job* job) {
   // Install the job context for the whole drive session, so layers with
   // no job handle (the ArtifactStore lease path — including the park-path
   // abort inside cell->on_park and the cell destructor in finish_locked)
-  // attribute their spans and leases to this job.
-  obs::ScopedTraceJob trace_ctx(traced ? tr : 0, job->id);
+  // attribute their spans, leases and cache traffic to this job and its
+  // tenant, never to the worker that runs it.
+  obs::ScopedTraceJob job_ctx(traced ? tr : 0, job->id, job->spec.tenant);
   const u64 session0 = obs::trace_now_ns();
   if (job->first_run_ns == 0) {
     job->first_run_ns = session0;
@@ -401,10 +402,9 @@ void JobQueue::drive(std::unique_lock<std::mutex>& lk, Job* job) {
     bool failed = false;
     std::string error;
     try {
-      // Deterministic salts + cache attribution derive from the job, not
-      // from the worker that happens to run this step.
+      // Deterministic salts derive from the job, not from the worker that
+      // happens to run this step.
       chaos::TaskScope chaos_scope(chaos::mix64(job->spec.seed, step_idx));
-      ScopedCacheTenant tenant(job->spec.tenant);
       job->cell->run_step();
     } catch (const std::exception& e) {
       failed = true;

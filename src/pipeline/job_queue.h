@@ -27,7 +27,8 @@
 //     caller governs the cells it drives).
 //
 // Determinism: each step runs under chaos::TaskScope(mix64(job seed, step
-// index)) and ScopedCacheTenant(job tenant), so fault-injection salts and
+// index)), and each drive session under the job's obs::ScopedTraceJob
+// (trace, job id, tenant), so fault-injection salts, lease ownership and
 // cache attribution derive from the job, never from which worker ran it.
 //
 // Progress events (submit, per-step, preemption, terminal) fan out through

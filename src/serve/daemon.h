@@ -19,9 +19,11 @@
 // any legitimate rate).
 //
 // Duplicate submissions across tenants are served from the shared
-// ArtifactStore: the single-writer lease inside the scan funnel means N
-// concurrent identical jobs cost one computation, and per-tenant
-// hit/miss attribution (`pipeline.cache.tenant.<t>.*`) shows who benefits.
+// ArtifactStore: each job's class result is one artifact under a
+// single-writer lease, so N concurrent identical jobs cost one
+// computation, and per-tenant hit/miss attribution
+// (`pipeline.cache.tenant.<t>.*`, from the tenant in the job context the
+// JobQueue installs) shows who benefits.
 //
 // Determinism: a job's chaos salts derive from its submitted seed knob,
 // never from worker identity or arrival order, so a crpd-served report for

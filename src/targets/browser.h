@@ -59,7 +59,7 @@ class BrowserSim {
     /// gets one call-stub export per id (rotating pointer-argument shapes:
     /// stack struct / volatile heap / guest-dereferenced heap — the three
     /// §V-B exclusion idioms), wired into visit_page()/crawl().
-    std::vector<u32> api_stub_ids;
+    std::vector<u32> api_stub_ids = {};
     /// Don't run startup (JsInit / VEH registration / poll thread) in the
     /// constructor: lets a tracer attach first so runtime registrations are
     /// observed — required for the VehScanner end-to-end flow. Call start().

@@ -98,6 +98,28 @@ TEST(JobTracer, SpanSetIsIdenticalAcrossWorkerCounts) {
   EXPECT_TRUE(saw_lease);
 }
 
+TEST(JobTracer, ColdBrowserJobTakesOneLeaseForItsClassReport) {
+  // A browser computes its whole class result under the class_report lease
+  // it takes in browse; no later step takes a lease of its own.
+  ArmedTracer armed;
+  JobTracer& jt = JobTracer::global();
+  pipeline::TargetRegistry reg = pipeline::TargetRegistry::builtin();
+  ArtifactStore store;
+  store.set_enabled(true);
+  store.set_dir("");
+  JobQueueOptions qo;
+  qo.store = &store;
+  JobQueue queue(qo);
+  JobSpec spec;
+  spec.target = *reg.find("browser/iexplore_sim");
+  spec.trace = jt.start_trace();
+  ASSERT_EQ(queue.wait(queue.submit(spec)).state, JobState::kDone);
+  std::vector<std::string> leases;
+  for (const auto& [kind, label, arg] : span_ids(jt, spec.trace))
+    if (kind == "lease_acquire") leases.push_back(label);
+  EXPECT_EQ(leases, std::vector<std::string>{"class_report"});
+}
+
 TEST(JobTracer, DisarmedOrUntracedRecordsNothing) {
   JobTracer& jt = JobTracer::global();
   jt.clear();
@@ -207,16 +229,20 @@ TEST(JobTracer, JsonExportsAreWellFormed) {
 TEST(ScopedTraceJobTest, InstallsAndRestoresContext) {
   EXPECT_EQ(current_trace_job().trace, 0u);
   {
-    ScopedTraceJob outer(11, 1);
+    ScopedTraceJob outer(11, 1, "alice");
     EXPECT_EQ(current_trace_job().trace, 11u);
     EXPECT_EQ(current_trace_job().job, 1u);
+    EXPECT_EQ(current_trace_job().tenant, "alice");
     {
       ScopedTraceJob inner(22, 2);
       EXPECT_EQ(current_trace_job().trace, 22u);
+      EXPECT_EQ(current_trace_job().tenant, "");
     }
     EXPECT_EQ(current_trace_job().trace, 11u);
+    EXPECT_EQ(current_trace_job().tenant, "alice");
   }
   EXPECT_EQ(current_trace_job().trace, 0u);
+  EXPECT_EQ(current_trace_job().tenant, "");
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 #include "analysis/report.h"
 #include "chaos/chaos.h"
 #include "obs/obs.h"
+#include "obs/trace.h"
 #include "pipeline/campaign.h"
 #include "pipeline/codec.h"
 #include "pipeline/job_queue.h"
@@ -99,8 +100,12 @@ TEST(ArtifactStore, HitMissAndTrafficCounters) {
   store.set_enabled(true);
   ArtifactKey key{"stage_x", 0x1111, 0x2222};
   std::string value;
-  EXPECT_FALSE(store.lookup(key, &value));
+  {
+    obs::ScopedTraceJob job(0, 7);
+    EXPECT_FALSE(store.lookup(key, &value));
+  }
   EXPECT_EQ(store.misses(), 1u);
+  EXPECT_TRUE(store.held_leases().empty());  // a lookup miss keeps no lease
 
   store.store(key, "payload");
   EXPECT_TRUE(store.lookup(key, &value));
@@ -143,7 +148,7 @@ TEST(ArtifactStore, DiskTierSurvivesMemoryClear) {
   std::filesystem::remove_all(dir);
   ArtifactStore store;
   store.set_dir(dir);
-  ArtifactKey key{"filter_classify", 0xabcdef, 0x42};
+  ArtifactKey key{"class_report", 0xabcdef, 0x42};
   store.store(key, "disk payload\nwith a second line");
   store.clear();  // drop the memory tier; disk remains
   std::string value;
@@ -219,56 +224,86 @@ TEST(Codec, EmptyStringFieldsRoundTrip) {
   EXPECT_EQ(back.candidates[1].target, "nginx_sim");
   EXPECT_EQ(back.candidates[1].note, "");
 
-  ClassifyOutcome outcome;
-  outcome.filters.resize(2);  // filters[0].module == ""
-  outcome.filters[1].module = "sechost.dll";
-  outcome.filters[1].offset = 0x40;
-  ClassifyOutcome cls;
-  ASSERT_TRUE(decode_classify(encode_classify(outcome), &cls));
-  ASSERT_EQ(cls.filters.size(), 2u);
-  EXPECT_EQ(cls.filters[0].module, "");
-  EXPECT_EQ(cls.filters[1].module, "sechost.dll");
-  EXPECT_EQ(cls.filters[1].offset, 0x40u);
+  // The same in a class_report, whose candidates carry four strings.
+  TargetReport rep;
+  rep.candidates.resize(2);  // candidates[0].module == candidates[0].api_name == ""
+  rep.candidates[0].note = "first";
+  rep.candidates[1].module = "sechost.dll";
+  rep.candidates[1].filter_off = 0x40;
+  TargetReport rep_back;
+  ASSERT_TRUE(decode_class_report(encode_class_report(rep), &rep_back));
+  ASSERT_EQ(rep_back.candidates.size(), 2u);
+  EXPECT_EQ(rep_back.candidates[0].module, "");
+  EXPECT_EQ(rep_back.candidates[0].api_name, "");
+  EXPECT_EQ(rep_back.candidates[0].note, "first");
+  EXPECT_EQ(rep_back.candidates[1].module, "sechost.dll");
+  EXPECT_EQ(rep_back.candidates[1].filter_off, 0x40u);
 }
 
 TEST(Codec, RejectsWrongKindAndVersion) {
-  ClassifyOutcome fresh;
-  fresh.filters_executed = 10;
-  std::string doc = encode_classify(fresh);
+  TargetReport fresh;
+  fresh.usable = 10;
+  std::string doc = encode_class_report(fresh);
   analysis::SyscallScanResult scan;
   EXPECT_FALSE(decode_syscall_scan(doc, &scan));  // kind mismatch -> miss
-  ClassifyOutcome cls;
-  EXPECT_FALSE(decode_classify("crp-artifact v999 filter_classify\n", &cls));
-  ASSERT_TRUE(decode_classify(doc, &cls));
-  EXPECT_EQ(cls.filters_executed, 10u);
+  TargetReport rep;
+  EXPECT_FALSE(decode_class_report("crp-artifact v999 class_report\n", &rep));
+  ASSERT_TRUE(decode_class_report(doc, &rep));
+  EXPECT_EQ(rep.usable, 10);
 
   // A string field whose escape is not '%' plus two hex digits makes the
   // document malformed: a miss, never an exception.
   analysis::Candidate c;
+  c.syscall = os::Sys::kRead;
   c.note = "ab ";  // encodes as "5 ab%20": escaped length, then the token
   analysis::SyscallScanResult res;
   res.candidates.push_back(c);
-  ClassifyOutcome outcome;
-  outcome.filters.emplace_back();
-  outcome.filters.back().module = "ab ";
+  TargetReport report;
+  report.candidates.emplace_back();
+  report.candidates.back().module = "ab ";
   // Unmutated, both documents decode: the rejections below are the escape's.
   ASSERT_TRUE(decode_syscall_scan(encode_syscall_scan(res), &scan));
-  ASSERT_TRUE(decode_classify(encode_classify(outcome), &cls));
+  ASSERT_TRUE(decode_class_report(encode_class_report(report), &rep));
   for (const char* bad : {"%zz", "%2", "%", "%-1", "%+f", "%g0"}) {
     // The length prefix follows the substituted token, so the length check
     // passes and only the escape can reject the document.
     std::string field = std::to_string(2 + std::strlen(bad)) + " ab" + bad;
     std::string scan_doc = encode_syscall_scan(res);
-    std::string cls_doc = encode_classify(outcome);
+    std::string rep_doc = encode_class_report(report);
     size_t scan_at = scan_doc.find("5 ab%20");
-    size_t cls_at = cls_doc.find("5 ab%20");
+    size_t rep_at = rep_doc.find("5 ab%20");
     ASSERT_NE(scan_at, std::string::npos);
-    ASSERT_NE(cls_at, std::string::npos);
+    ASSERT_NE(rep_at, std::string::npos);
     scan_doc.replace(scan_at, 7, field);
-    cls_doc.replace(cls_at, 7, field);
+    rep_doc.replace(rep_at, 7, field);
     EXPECT_FALSE(decode_syscall_scan(scan_doc, &scan)) << bad;
-    EXPECT_FALSE(decode_classify(cls_doc, &cls)) << bad;
+    EXPECT_FALSE(decode_class_report(rep_doc, &rep)) << bad;
   }
+
+  // A scan names a real syscall and verdict in every field: a value past
+  // the enum's last (kCount is the no-syscall value) is malformed, not a cast.
+  std::string valid = encode_syscall_scan(res);
+  std::string cand = strf("\ncand %u ", static_cast<unsigned>(os::Sys::kRead));
+  std::string count = strf("\ncand %u ", static_cast<unsigned>(os::Sys::kCount));
+  size_t at = valid.find(cand);
+  ASSERT_NE(at, std::string::npos);
+  std::string bad_sys = valid;
+  bad_sys.replace(at, cand.size(), count);
+  EXPECT_FALSE(decode_syscall_scan(bad_sys, &scan));
+  std::string verdict = strf(" %u\n", static_cast<unsigned>(c.verdict));
+  at = valid.find(verdict, at + 1);
+  ASSERT_NE(at, std::string::npos);
+  std::string bad_verdict = valid;
+  bad_verdict.replace(at, verdict.size(), " 9\n");
+  EXPECT_FALSE(decode_syscall_scan(bad_verdict, &scan));
+  res.observed = {os::Sys::kRead};
+  std::string bad_observed = encode_syscall_scan(res);
+  std::string observed = strf("observed 1 %u\n", static_cast<unsigned>(os::Sys::kRead));
+  at = bad_observed.find(observed);
+  ASSERT_NE(at, std::string::npos);
+  bad_observed.replace(at, observed.size(),
+                       strf("observed 1 %u\n", static_cast<unsigned>(os::Sys::kCount)));
+  EXPECT_FALSE(decode_syscall_scan(bad_observed, &scan));
 }
 
 /// The class fields of a report (what the class_report artifact holds),
@@ -343,7 +378,7 @@ TEST(Codec, ClassReportRoundTripsEveryField) {
   ASSERT_NE(at, std::string::npos);
   doc.replace(at, 7, "\ndll 9 ");
   EXPECT_FALSE(decode_class_report(doc, &back));
-  EXPECT_FALSE(decode_class_report(encode_classify({}), &back));
+  EXPECT_FALSE(decode_class_report(encode_syscall_scan({}), &back));
 }
 
 // --- cache keys --------------------------------------------------------------
@@ -590,12 +625,12 @@ TEST(ArtifactStore, TenantAttributionFollowsTheScopedTenant) {
   ArtifactKey key{"stage_x", 0xEE, 0xFF};
   std::string value;
   {
-    ScopedCacheTenant t("alice");
+    obs::ScopedTraceJob t(0, 0, "alice");
     EXPECT_FALSE(store.lookup(key, &value));  // alice misses
     store.store(key, "payload");
   }
   {
-    ScopedCacheTenant t("bob");
+    obs::ScopedTraceJob t(0, 0, "bob");
     EXPECT_TRUE(store.lookup(key, &value));  // bob rides alice's work
   }
   EXPECT_EQ(store.tenant_misses("alice"), 1u);
@@ -842,7 +877,7 @@ TEST(ArtifactStore, TenantAttributionIsCapped) {
   // 64 attributed tenants fill the cap; later names still count globally
   // but are not broken out (registry counters must stay bounded).
   for (int i = 0; i < 70; ++i) {
-    ScopedCacheTenant t(strf("cap_tenant_%d", i));
+    obs::ScopedTraceJob t(0, 0, strf("cap_tenant_%d", i));
     EXPECT_TRUE(store.lookup(key, &value));
   }
   EXPECT_EQ(store.tenant_hits("cap_tenant_0"), 1u);
@@ -876,23 +911,18 @@ TEST(JobQueue, ConcurrentIdenticalClassifyJobsComputeOnce) {
   // A corpus or browser cell holds its class lease from its first step to
   // finalize (a browser takes it in browse, before the tracer exists): two
   // identical jobs on two workers compute once, and the other job waits
-  // and reads the class_report. One corpus computation publishes the
-  // class_report alone (a miss and a store); a browser's classify step
-  // also takes the filter_classify lease inside the class lease and
-  // publishes that artifact too.
-  struct Case {
-    const char* id;
-    u64 artifacts;  // misses and stores of one computation
-  };
-  for (Case k : {Case{"corpus/dll_x64", 1}, Case{"browser/iexplore_sim", 2}}) {
-    const char* id = k.id;
+  // and reads the class_report. One computation publishes the class_report
+  // alone: one miss, one store. Each job's traffic counts for its tenant.
+  for (const char* id : {"corpus/dll_x64", "browser/iexplore_sim"}) {
     ArtifactStore store;
     store.set_enabled(true);
     store.set_dir("");
     JobQueue q(JobQueueOptions{2, &store});
     JobSpec js;
     js.target = registered(id);
+    js.tenant = "alice";
     JobId a = q.submit(js);
+    js.tenant = "bob";
     JobId b = q.submit(js);
     JobResult ra = q.wait(a);
     JobResult rb = q.wait(b);
@@ -900,9 +930,13 @@ TEST(JobQueue, ConcurrentIdenticalClassifyJobsComputeOnce) {
     ASSERT_EQ(rb.state, JobState::kDone) << id;
     EXPECT_EQ(render_report(ra.report, false), render_report(rb.report, false)) << id;
     EXPECT_NE(ra.report.cache_hit, rb.report.cache_hit) << id;
-    EXPECT_EQ(store.misses(), k.artifacts) << id;
+    EXPECT_EQ(store.misses(), 1u) << id;
     EXPECT_EQ(store.hits(), 1u) << id;
-    EXPECT_EQ(store.stores(), k.artifacts) << id;
+    EXPECT_EQ(store.stores(), 1u) << id;
+    const char* computed = ra.report.cache_hit ? "bob" : "alice";
+    const char* replayed = ra.report.cache_hit ? "alice" : "bob";
+    EXPECT_EQ(store.tenant_misses(computed), 1u) << id;
+    EXPECT_EQ(store.tenant_hits(replayed), 1u) << id;
   }
 }
 
@@ -971,6 +1005,7 @@ TEST(Campaign, ClassReportKeyMovesWithOptionsAndImageBytes) {
   // Each change below is one input the class steps read: the second run
   // must compute (a class_report miss that publishes anew), not replay.
   // The answer is the second run's store traffic: {misses, hits, stores}.
+  // A class's other configuration is constants, which its key hashes too.
   using Traffic = std::array<u64, 3>;
   auto rerun = [](const char* id, CampaignOptions changed, TargetSpec spec) {
     ArtifactStore store;
@@ -986,17 +1021,17 @@ TEST(Campaign, ClassReportKeyMovesWithOptionsAndImageBytes) {
   CampaignOptions seed;
   seed.syscall.seed = 12345;
   EXPECT_EQ(rerun("runtime/jvm_sim", seed, registered("runtime/jvm_sim")), recomputes);
-  // Only the browse changed: the browser reuses its DLLs' classification.
-  CampaignOptions pages;
-  pages.browse_pages = 499;
-  EXPECT_EQ(rerun("browser/iexplore_sim", pages, registered("browser/iexplore_sim")),
-            (Traffic{1, 1, 1}));
-  CampaignOptions paths;
-  paths.classify.max_paths += 1;
-  EXPECT_EQ(rerun("corpus/dll_x64", paths, registered("corpus/dll_x64")), recomputes);
-  CampaignOptions probes;
-  probes.api_probes_per_arg = 2;
-  EXPECT_EQ(rerun("corpus/winapi", probes, registered("corpus/winapi")), recomputes);
+  // A reseeded subject: other browser DLLs, another DLL population, another
+  // API surface.
+  TargetSpec browser = registered("browser/iexplore_sim");
+  browser.seed += 1;
+  EXPECT_EQ(rerun("browser/iexplore_sim", {}, browser), recomputes);
+  TargetSpec corpus = registered("corpus/dll_x64");
+  corpus.seed += 1;
+  EXPECT_EQ(rerun("corpus/dll_x64", {}, corpus), recomputes);
+  TargetSpec api = registered("corpus/winapi");
+  api.api.seed += 1;
+  EXPECT_EQ(rerun("corpus/winapi", {}, api), recomputes);
 
   // One flipped byte in the last section of the runtime's main image.
   TargetSpec flipped = registered("runtime/jvm_sim");

@@ -367,20 +367,6 @@ std::vector<CodecCase> codec_cases(chaos::Gen& gen) {
     c.note = notes[rng.below(4)];
     scan.candidates.push_back(c);
   }
-  pipeline::ClassifyOutcome cls;
-  cls.filters_executed = rng.next();
-  cls.sat_queries = rng.below(1000);
-  cls.memo_hits = rng.below(1000);
-  for (int i = 0; i < 4; ++i) {
-    analysis::FilterInfo f;
-    f.module = i % 2 ? "sechost.dll" : "my module%.dll";
-    f.offset = rng.next();
-    f.machine = i % 2 ? isa::Machine::kX32 : isa::Machine::kX64;
-    f.verdict = static_cast<analysis::FilterVerdict>(rng.below(3));
-    f.paths_explored = rng.below(64);
-    f.handlers_using = rng.below(64);
-    cls.filters.push_back(f);
-  }
   plan::ExploitPlan p;
   p.target_id = "server/nginx_sim";
   p.surface = plan::Surface::kNginxRecv;
@@ -434,15 +420,11 @@ std::vector<CodecCase> codec_cases(chaos::Gen& gen) {
   rep.api.stubs = rng.below(400);
 
   using analysis::SyscallScanResult;
-  using pipeline::ClassifyOutcome;
   using pipeline::TargetReport;
   return {
       {"syscall_scan", pipeline::encode_syscall_scan(scan),
        reencode<SyscallScanResult, pipeline::decode_syscall_scan,
                 pipeline::encode_syscall_scan>,
-       false},
-      {"filter_classify", pipeline::encode_classify(cls),
-       reencode<ClassifyOutcome, pipeline::decode_classify, pipeline::encode_classify>,
        false},
       {"plan", plan::encode_plan(p),
        reencode<plan::ExploitPlan, plan::decode_plan, plan::encode_plan>, true},
@@ -475,9 +457,9 @@ std::string mutate(Rng& rng, const std::string& doc, const std::string& other,
       // A count field (a tag followed by a number) rewritten to 2^63.
       *what = "count";
       std::vector<std::pair<size_t, size_t>> counts;  // (offset, length) of the number
-      for (const char* tag : {"observed ", "candidates ", "filters ",
-                              "leak ", "modules ", "veh ", "exclusions ", "target ",
-                              "primitive ", "rationale ", "summary ", "reason "})
+      for (const char* tag : {"observed ", "candidates ", "leak ", "modules ", "veh ",
+                              "exclusions ", "target ", "primitive ", "rationale ",
+                              "summary ", "reason "})
         for (size_t at = m.find(tag); at != std::string::npos; at = m.find(tag, at + 1)) {
           size_t lo = at + std::strlen(tag), hi = lo;
           while (hi < m.size() && std::isdigit(static_cast<unsigned char>(m[hi]))) ++hi;
